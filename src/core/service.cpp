@@ -1,5 +1,8 @@
 #include "core/service.h"
 
+#include <algorithm>
+#include <array>
+
 #include "common/trace.h"
 #include "idl/interp.h"
 #include "pe/layout.h"
@@ -82,6 +85,9 @@ CachedSpecService::CachedSpecService(SpecCache& cache, idl::ProcDef proc,
       handler_(std::move(handler)),
       res_counts_for_(std::move(res_counts_for)),
       base_(std::move(base)) {
+  if (auto probe = pe::ShapeProbe::build(*proc_.arg_type); probe.is_ok()) {
+    probe_ = std::move(*probe);
+  }
   // Tier attribution: every request lands in exactly one of jit / plan
   // / generic, so the three tier counters partition service.requests —
   // the acceptance test asserts the sum.  fast_path counts plans AND
@@ -98,6 +104,7 @@ CachedSpecService::CachedSpecService(SpecCache& cache, idl::ProcDef proc,
         snap.add_counter("service.plan_fallbacks", c(stats_.plan_fallbacks));
         snap.add_counter("service.spec_unavailable",
                          c(stats_.spec_unavailable));
+        snap.add_counter("service.shape_switches", c(stats_.shape_switches));
         snap.add_counter("service.jit_fast_path", jit);
         snap.add_counter("service.tier_jit", jit);
         snap.add_counter("service.tier_plan", fast - jit);
@@ -112,21 +119,26 @@ void CachedSpecService::install(rpc::SvcRegistry& registry) {
                          });
 }
 
-SpecHandle CachedSpecService::hot() const {
-  return hot_.load(std::memory_order_acquire);
-}
-
-void CachedSpecService::set_hot(SpecHandle h) {
-  hot_.store(std::move(h), std::memory_order_release);
-}
-
 namespace {
 enum class PathResult {
   kServed,        // request fully handled through the plans
-  kGuardMiss,     // shape mismatch; stream cursor advanced, rewind needed
-  kStreamOpaque,  // stream cannot inline; cursor untouched
+  kGuardMiss,     // a plan guard rejected it; stream cursor advanced
+  kStreamOpaque,  // stream cannot inline the args; cursor untouched
   kHandlerFault,  // application handler failed: GARBAGE_ARGS
 };
+
+// Counts of up to this many var arrays are probed into a stack buffer.
+constexpr std::size_t kInlineCounts = 16;
+
+// Per-thread slot buffers for the plan path, reused so a served request
+// allocates nothing once its thread has seen the shape's size.  A
+// handler that re-enters a service on the same thread finds them in use
+// and gets its own.
+struct SlotScratch {
+  std::vector<std::uint32_t> args, results;
+  bool in_use = false;
+};
+thread_local SlotScratch tls_scratch;
 }  // namespace
 
 bool CachedSpecService::encode_results(const SpecializedInterface& iface,
@@ -145,73 +157,124 @@ bool CachedSpecService::encode_results(const SpecializedInterface& iface,
   return idl::encode_value(out, iface.res_type(), *value);
 }
 
+SpecConfig CachedSpecService::config_for(
+    std::span<const std::uint32_t> arg_counts) const {
+  SpecConfig cfg = base_;
+  cfg.arg_counts.assign(arg_counts.begin(), arg_counts.end());
+  cfg.res_counts =
+      res_counts_for_ ? res_counts_for_(arg_counts) : cfg.arg_counts;
+  return cfg;
+}
+
+// The one cache lookup of a probed call.  The hot handle's own config
+// keys the lookup when the shape matches (no allocation); any other
+// shape builds its config, resolves it and takes over the hot handle.
+SpecHandle CachedSpecService::resolve(
+    std::span<const std::uint32_t> arg_counts) {
+  SpecHandle h = hot_.load(std::memory_order_acquire);
+  if (h && std::ranges::equal(h->config().arg_counts, arg_counts)) {
+    // Re-resolving the hot shape counts the hit, keeps the LRU ordering
+    // honest for actively served shapes, and picks up a rebuilt
+    // instance if the entry was evicted meanwhile.
+    auto refreshed = cache_.get_or_build(proc_, prog_, vers_, h->config());
+    return refreshed.is_ok() ? *refreshed : h;
+  }
+  auto built = cache_.get_or_build(proc_, prog_, vers_, config_for(arg_counts));
+  if (!built.is_ok()) {
+    stats_.spec_unavailable.fetch_add(1, std::memory_order_relaxed);
+    return nullptr;
+  }
+  SpecHandle prev = hot_.exchange(*built, std::memory_order_acq_rel);
+  if (prev && prev->config().arg_counts != (*built)->config().arg_counts) {
+    stats_.shape_switches.fetch_add(1, std::memory_order_relaxed);
+  }
+  return *built;
+}
+
 bool CachedSpecService::handle(xdr::XdrStream& in, xdr::XdrStream& out) {
   const std::size_t pos = in.getpos();
 
-  SpecHandle h = hot();
-  if (h) {
-    // Re-resolve the residual plan through the cache on every call: the
-    // memo lookup counts the hit, keeps the LRU ordering honest for
-    // actively served shapes, and transparently picks up a rebuilt
-    // instance if the entry was evicted meanwhile.
-    auto refreshed = cache_.get_or_build(proc_, prog_, vers_, h->config());
-    if (refreshed.is_ok()) h = *refreshed;
-    // Stage marks are no-ops unless the runtime sampled this request
-    // (one thread_local null check), so the unsampled hot path pays
-    // nothing.
-    common::trace_mark(common::TraceStage::kCacheLookup);
-  }
-  if (h) {
-    PathResult r = PathResult::kStreamOpaque;
-    const pe::Plan& dplan = h->decode_args_plan();
-    std::uint8_t* in_bytes =
-        dplan.expected_in ? in.inline_bytes(dplan.expected_in) : nullptr;
-    if (in_bytes != nullptr) {
-      std::vector<std::uint32_t> args(
-          static_cast<std::size_t>(h->arg_slots()));
-      if (h->exec_decode_args(ByteSpan(in_bytes, dplan.expected_in), args) ==
-          ExecStatus::kOk) {
-        common::trace_mark(common::TraceStage::kDecode);
-        std::vector<std::uint32_t> results(
-            static_cast<std::size_t>(h->res_slots()));
-        if (!handler_(h->config().arg_counts, args, results)) {
-          r = PathResult::kHandlerFault;
-        } else {
-          common::trace_mark(common::TraceStage::kExecute);
-          if (encode_results(*h, results, out)) {
-            common::trace_mark(common::TraceStage::kEncode);
-            r = PathResult::kServed;
-          } else {
-            r = PathResult::kHandlerFault;
-          }
-        }
-      } else {
-        r = PathResult::kGuardMiss;  // count/length guard rejected shape
-      }
+  // Shape probe: the request's counts, read off the wire.  Fails (with
+  // the cursor untouched) for streams that cannot rewind and for
+  // malformed requests; both go to the generic decoder.
+  SpecHandle h;
+  bool resolved = false;
+  if (probe_) {
+    std::array<std::uint32_t, kInlineCounts> inline_counts{};
+    std::vector<std::uint32_t> heap_counts;
+    std::span<std::uint32_t> counts(inline_counts.data(),
+                                    probe_->count_params());
+    if (counts.size() > kInlineCounts) {
+      heap_counts.resize(counts.size());
+      counts = heap_counts;
     }
-    switch (r) {
-      case PathResult::kServed:
-        stats_.fast_path.fetch_add(1, std::memory_order_relaxed);
-        common::trace_set_tier(h->jit_active() ? common::TraceTier::kJit
-                                               : common::TraceTier::kPlan);
-        if (h->jit_active()) {
-          stats_.jit_fast_path.fetch_add(1, std::memory_order_relaxed);
-        }
-        return true;
-      case PathResult::kHandlerFault:
-        return false;
-      case PathResult::kGuardMiss:
-        stats_.plan_fallbacks.fetch_add(1, std::memory_order_relaxed);
-        if (!in.setpos(pos)) return false;  // cannot rewind: drop request
-        break;
-      case PathResult::kStreamOpaque:
-        break;
+    if (probe_->read_counts(in, counts)) {
+      h = resolve(counts);
+      resolved = true;
+      // Stage marks are no-ops unless the runtime sampled this request
+      // (one thread_local null check), so the unsampled path pays
+      // nothing.
+      common::trace_mark(common::TraceStage::kCacheLookup);
     }
   }
+  if (!h) return handle_generic(in, out, nullptr, resolved);
 
-  // Generic path: interpret the value, learn its shape, resolve the
-  // specialization through the cache so the reply (and the next call of
-  // this shape) still runs residual code.
+  PathResult r = PathResult::kStreamOpaque;
+  const pe::Plan& dplan = h->decode_args_plan();
+  std::uint8_t* in_bytes =
+      dplan.expected_in ? in.inline_bytes(dplan.expected_in) : nullptr;
+  if (in_bytes != nullptr) {
+    SlotScratch local;
+    SlotScratch& slots = tls_scratch.in_use ? local : tls_scratch;
+    slots.in_use = true;
+    slots.args.assign(static_cast<std::size_t>(h->arg_slots()), 0);
+    if (h->exec_decode_args(ByteSpan(in_bytes, dplan.expected_in),
+                            slots.args) == ExecStatus::kOk) {
+      common::trace_mark(common::TraceStage::kDecode);
+      slots.results.assign(static_cast<std::size_t>(h->res_slots()), 0);
+      if (!handler_(h->config().arg_counts, slots.args, slots.results)) {
+        r = PathResult::kHandlerFault;
+      } else {
+        common::trace_mark(common::TraceStage::kExecute);
+        if (encode_results(*h, slots.results, out)) {
+          common::trace_mark(common::TraceStage::kEncode);
+          r = PathResult::kServed;
+        } else {
+          r = PathResult::kHandlerFault;
+        }
+      }
+    } else {
+      r = PathResult::kGuardMiss;
+    }
+    slots.in_use = false;
+  }
+  switch (r) {
+    case PathResult::kServed:
+      stats_.fast_path.fetch_add(1, std::memory_order_relaxed);
+      common::trace_set_tier(h->jit_active() ? common::TraceTier::kJit
+                                             : common::TraceTier::kPlan);
+      if (h->jit_active()) {
+        stats_.jit_fast_path.fetch_add(1, std::memory_order_relaxed);
+      }
+      return true;
+    case PathResult::kHandlerFault:
+      return false;
+    case PathResult::kGuardMiss:
+      stats_.plan_fallbacks.fetch_add(1, std::memory_order_relaxed);
+      if (!in.setpos(pos)) return false;  // the probe showed it rewinds
+      break;
+    case PathResult::kStreamOpaque:
+      break;
+  }
+  return handle_generic(in, out, std::move(h), resolved);
+}
+
+// Interprets the value and learns its shape.  `resolved` says the call
+// already made its cache lookup (`h` is its result, null when the build
+// failed); otherwise the lookup happens here, so the reply still runs
+// residual code when the shape has a plan.
+bool CachedSpecService::handle_generic(xdr::XdrStream& in, xdr::XdrStream& out,
+                                       SpecHandle h, bool resolved) {
   stats_.generic_path.fetch_add(1, std::memory_order_relaxed);
   common::trace_set_tier(common::TraceTier::kGeneric);
   idl::Value value;
@@ -222,15 +285,20 @@ bool CachedSpecService::handle(xdr::XdrStream& in, xdr::XdrStream& out) {
   }
   common::trace_mark(common::TraceStage::kDecode);
 
-  SpecConfig cfg = base_;
-  cfg.arg_counts = counts;
-  cfg.res_counts = res_counts_for_ ? res_counts_for_(counts) : counts;
-
-  auto iface = cache_.get_or_build(proc_, prog_, vers_, cfg);
-  if (!iface.is_ok()) {
-    stats_.spec_unavailable.fetch_add(1, std::memory_order_relaxed);
+  const SpecConfig cfg = config_for(counts);
+  if (!resolved) {
+    auto iface = cache_.get_or_build(proc_, prog_, vers_, cfg);
+    if (iface.is_ok()) {
+      h = *iface;
+    } else {
+      stats_.spec_unavailable.fetch_add(1, std::memory_order_relaxed);
+    }
+    common::trace_mark(common::TraceStage::kCacheLookup);
   }
-  common::trace_mark(common::TraceStage::kCacheLookup);
+  // The probe read the same count words the decoder did, so a resolved
+  // handle has this shape; the check keeps a mismatched plan off the
+  // reply regardless.
+  if (h && h->config().arg_counts != counts) h = nullptr;
 
   pe::Slots args;
   if (!pe::flatten_value(*proc_.arg_type, value, counts, args).is_ok()) {
@@ -245,9 +313,8 @@ bool CachedSpecService::handle(xdr::XdrStream& in, xdr::XdrStream& out) {
   if (!handler_(counts, args, results)) return false;
   common::trace_mark(common::TraceStage::kExecute);
 
-  if (iface.is_ok()) {
-    set_hot(*iface);
-    const bool ok = encode_results(**iface, results, out);
+  if (h) {
+    const bool ok = encode_results(*h, results, out);
     common::trace_mark(common::TraceStage::kEncode);
     return ok;
   }

@@ -13,11 +13,13 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 
 #include "common/metrics.h"
 #include "common/status.h"
 #include "core/spec_cache.h"
 #include "core/stubspec.h"
+#include "pe/layout.h"
 #include "rpc/svc.h"
 
 namespace tempo::core {
@@ -58,23 +60,26 @@ class SpecializedService {
 
 // Dynamic sibling of SpecializedService for servers whose clients send
 // *varying* array shapes.  Instead of one pinned specialization it
-// resolves each request's residual plans through a SpecCache:
+// resolves each request's residual plans through a SpecCache, choosing
+// the plan from the request's actual shape:
 //
-//  * fast path — the most recently used specialization for this proc is
-//    tried first; its decode plan's guards (count words, lengths) verify
-//    the request actually has that shape.  ExecStatus::kFallback rewinds
-//    the stream and drops to the generic path (guarded specialization,
-//    paper §6.2).
-//  * generic path — the layered interpreter decodes the value, the
-//    actual counts are collected, and the matching specialization is
-//    fetched (or built once) from the cache so the *reply* is still
-//    encoded through a residual plan and the *next* request of this
-//    shape hits the fast path.
+//  * shape probe — before any plan runs, a pe::ShapeProbe reads the
+//    request's var-array counts off the wire (count words only, element
+//    bytes skipped) and rewinds the stream.
+//  * dispatch — counts equal to the hot handle's (the shape this
+//    service last served) are served from it; any other shape is
+//    resolved through the cache and republished as the hot handle.
+//    Either way each call makes exactly one cache lookup, and the plan
+//    guards still run: a guard miss rewinds to the generic path.
+//  * generic path — the layered interpreter serves what the probe
+//    cannot: streams that cannot rewind (TCP xdrrec on
+//    rpc::ServerRuntime), shapes whose specialization failed to build,
+//    and malformed requests.  A decoded value still has its reply
+//    encoded through the matching residual plan when one exists.
 //
-// Thread-safe: handle() may run on many worker threads concurrently
-// (see rpc::ServerRuntime); stats are atomic and the hot-spec slot is
-// an atomic<shared_ptr> — the fast path reads it without any lock,
-// matching the lock-free hot-spec slot inside SpecCache itself.
+// Thread-safe: handle() may run on many worker threads concurrently;
+// stats are atomic and the hot handle is an atomic<shared_ptr> read
+// without any lock, matching the hot-spec slot inside SpecCache itself.
 class CachedSpecService {
  public:
   // Application logic on flattened slots, shape passed explicitly:
@@ -90,8 +95,11 @@ class CachedSpecService {
   struct Stats {
     std::atomic<std::int64_t> fast_path{0};     // served fully by plans
     std::atomic<std::int64_t> generic_path{0};  // interpreter decode
-    std::atomic<std::int64_t> plan_fallbacks{0};  // hot-spec guard misses
+    // Probed requests whose plan guards rejected them (then generic).
+    std::atomic<std::int64_t> plan_fallbacks{0};
     std::atomic<std::int64_t> spec_unavailable{0};  // cache build failed
+    // Hot-handle republishes that replaced a different shape.
+    std::atomic<std::int64_t> shape_switches{0};
     // Subset of fast_path served by an interface with compiled stubs
     // (the third tier; equals fast_path when the JIT is on and the
     // shape compiled, 0 when TEMPO_PLAN_JIT is off).
@@ -108,14 +116,17 @@ class CachedSpecService {
 
  private:
   bool handle(xdr::XdrStream& in, xdr::XdrStream& out);
+  bool handle_generic(xdr::XdrStream& in, xdr::XdrStream& out, SpecHandle h,
+                      bool resolved);
   bool encode_results(const SpecializedInterface& iface,
                       std::span<const std::uint32_t> results,
                       xdr::XdrStream& out);
-  SpecHandle hot() const;
-  void set_hot(SpecHandle h);
+  SpecConfig config_for(std::span<const std::uint32_t> arg_counts) const;
+  SpecHandle resolve(std::span<const std::uint32_t> arg_counts);
 
   SpecCache& cache_;
   idl::ProcDef proc_;
+  std::optional<pe::ShapeProbe> probe_;  // empty: type not plan-eligible
   std::uint32_t prog_, vers_;
   DynamicWordHandler handler_;
   CountMapper res_counts_for_;

@@ -34,6 +34,16 @@ Status paranoid_reverify(const SpecializedInterface& iface) {
   return Status::ok();
 }
 
+// SpecKey{prog, vers, proc, config...} == k, without building the key.
+bool key_matches(const SpecKey& k, std::uint32_t prog, std::uint32_t vers,
+                 std::uint32_t proc, const SpecConfig& config) {
+  return k.prog == prog && k.vers == vers && k.proc == proc &&
+         k.unroll_factor == config.unroll_factor &&
+         k.buffer_bytes == config.buffer_bytes &&
+         k.arg_counts == config.arg_counts &&
+         k.res_counts == config.res_counts;
+}
+
 }  // namespace
 
 std::size_t SpecKeyHash::operator()(const SpecKey& k) const {
@@ -109,15 +119,8 @@ Result<SpecHandle> SpecCache::get_or_build(const idl::ProcDef& proc,
                                            std::uint32_t prog,
                                            std::uint32_t vers,
                                            const SpecConfig& config) {
-  SpecKey key{prog,
-              vers,
-              proc.number,
-              config.arg_counts,
-              config.res_counts,
-              config.unroll_factor,
-              config.buffer_bytes};
-
-  // Lock-free fast path: one atomic load + key compare.  On the skewed
+  // Lock-free fast path: one atomic load + key compare, made against
+  // the config in place so a slot hit allocates nothing.  On the skewed
   // workloads real servers see (~99.99% one shape) this is the whole
   // lookup.  A stale slot is harmless — interfaces are immutable and
   // keyed, so a mismatch just falls through to the shard.  One hit in
@@ -127,7 +130,7 @@ Result<SpecHandle> SpecCache::get_or_build(const idl::ProcDef& proc,
   // slot (each lookup still counts in exactly one hit counter).
   std::shared_ptr<const HotSlot> refresh_hot;
   if (auto hot = hot_.load(std::memory_order_acquire);
-      hot && hot->key == key) {
+      hot && key_matches(hot->key, prog, vers, proc.number, config)) {
     const std::int64_t tick =
         hot_ticks_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (tick % kHotRefreshPeriod != 0) {
@@ -140,6 +143,14 @@ Result<SpecHandle> SpecCache::get_or_build(const idl::ProcDef& proc,
     // reinserts it instead of rebuilding.
     refresh_hot = std::move(hot);
   }
+
+  SpecKey key{prog,
+              vers,
+              proc.number,
+              config.arg_counts,
+              config.res_counts,
+              config.unroll_factor,
+              config.buffer_bytes};
 
   Shard& shard = shard_for(SpecKeyHash{}(key));
 

@@ -1,8 +1,10 @@
 #include "pe/layout.h"
 
 #include <cstring>
+#include <limits>
 
 #include "common/bytes.h"
+#include "xdr/primitives.h"
 
 namespace tempo::pe {
 
@@ -389,6 +391,85 @@ Result<Value> unflatten_value(const Type& t,
                               std::span<const std::uint32_t> slots) {
   std::size_t ci = 0, si = 0;
   return unflatten_rec(t, counts, ci, slots, si);
+}
+
+namespace {
+
+// Appends the probe steps for `t`; `pending` carries the static bytes
+// seen since the last count word.
+Status probe_steps_rec(const Type& t, std::vector<ShapeProbe::Step>& steps,
+                       std::size_t& pending) {
+  if (auto size = idl::static_wire_size(t)) {
+    pending += *size;
+    return Status::ok();
+  }
+  switch (t.kind) {
+    case Kind::kStruct:
+      for (const auto& f : t.fields) {
+        TEMPO_RETURN_IF_ERROR(probe_steps_rec(*f.type, steps, pending));
+      }
+      return Status::ok();
+    case Kind::kArrayFixed:
+      // The element holds var arrays: one count per occurrence.
+      for (std::uint32_t i = 0; i < t.bound; ++i) {
+        TEMPO_RETURN_IF_ERROR(probe_steps_rec(*t.elem, steps, pending));
+      }
+      return Status::ok();
+    case Kind::kArrayVar: {
+      const auto elem = idl::static_wire_size(*t.elem);
+      if (!elem) {
+        return invalid_argument(
+            "variable arrays inside variable arrays are not plan-eligible");
+      }
+      // Keeps every skip representable as a non-negative stream length.
+      if (*elem != 0 &&
+          t.bound > std::numeric_limits<std::int64_t>::max() / 2 / *elem) {
+        return invalid_argument("variable array extent overflows");
+      }
+      steps.push_back({pending, t.bound, *elem});
+      pending = 0;
+      return Status::ok();
+    }
+    default:
+      return invalid_argument("type not plan-eligible: " + type_to_string(t));
+  }
+}
+
+bool skip_bytes(xdr::XdrStream& in, std::size_t n) {
+  return n == 0 || in.inline_bytes(n) != nullptr;
+}
+
+}  // namespace
+
+Result<ShapeProbe> ShapeProbe::build(const Type& t) {
+  ShapeProbe probe;
+  std::size_t pending = 0;
+  TEMPO_RETURN_IF_ERROR(probe_steps_rec(t, probe.steps_, pending));
+  probe.tail_ = pending;
+  return probe;
+}
+
+bool ShapeProbe::read_counts(xdr::XdrStream& in,
+                             std::span<std::uint32_t> counts) const {
+  const std::size_t pos = in.getpos();
+  if (!in.setpos(pos)) return false;  // cannot rewind: read nothing
+  const bool ok = walk(in, counts);
+  return in.setpos(pos) && ok;
+}
+
+bool ShapeProbe::walk(xdr::XdrStream& in,
+                      std::span<std::uint32_t> counts) const {
+  if (counts.size() != steps_.size()) return false;
+  for (std::size_t i = 0; i < steps_.size(); ++i) {
+    const Step& s = steps_[i];
+    std::uint32_t n = 0;
+    if (!skip_bytes(in, s.skip) || !xdr::xdr_u_int(in, n) || n > s.bound ||
+        !skip_bytes(in, n * s.elem_bytes)) {
+      return false;
+    }
+    counts[i] = n;
+  }
+  return skip_bytes(in, tail_);
 }
 
 Status collect_counts(const Type& t, const Value& v,

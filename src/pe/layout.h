@@ -21,10 +21,12 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/status.h"
 #include "idl/types.h"
 #include "idl/value.h"
+#include "xdr/xdr.h"
 
 namespace tempo::pe {
 
@@ -57,5 +59,39 @@ Result<idl::Value> unflatten_value(const idl::Type& t,
 // (used to check against the specialization's pinned counts).
 Status collect_counts(const idl::Type& t, const idl::Value& v,
                       std::vector<std::uint32_t>& out);
+
+// Reads a value's preorder var-array counts straight off the wire,
+// without decoding it.  Built once per plan-eligible type: the type
+// flattens into steps, each a run of static bytes followed by one
+// count word and count * (static element size) bytes.  Nested var
+// arrays are not plan-eligible, so a probe costs O(type nodes), not
+// O(elements).
+class ShapeProbe {
+ public:
+  // kInvalidArgument for types that are not plan-eligible.
+  static Result<ShapeProbe> build(const idl::Type& t);
+
+  // Number of counts read_counts() fills in (== count_params(t)).
+  std::size_t count_params() const { return steps_.size(); }
+
+  // Fills `counts` (count_params() entries) and returns true when the
+  // stream holds a whole value of the type: every count within its
+  // bound and every byte present.  The cursor ends where it started
+  // either way.  A stream that cannot rewind is refused before any
+  // byte is read.
+  bool read_counts(xdr::XdrStream& in, std::span<std::uint32_t> counts) const;
+
+  struct Step {
+    std::size_t skip = 0;        // static bytes before the count word
+    std::uint32_t bound = 0;     // the var array's bound
+    std::size_t elem_bytes = 0;  // static wire size of one element
+  };
+
+ private:
+  bool walk(xdr::XdrStream& in, std::span<std::uint32_t> counts) const;
+
+  std::vector<Step> steps_;
+  std::size_t tail_ = 0;  // static bytes after the last count word
+};
 
 }  // namespace tempo::pe
