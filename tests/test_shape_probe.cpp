@@ -328,9 +328,8 @@ TEST(ShapeDispatch, UnbuildableShapeTakesOneLookupAndTheGenericPath) {
   const idl::ProcDef proc = framed_proc();
   core::SpecCache cache(16);
   rpc::SvcRegistry reg;
-  // Results are pinned one element longer than the arguments, so the
-  // handler always sees the shape it asked for; n=5 maps to an
-  // unbuildable result shape (above the bound of 8).
+  // The reply carries one element more than the request; n=5 maps to a
+  // reply count above the bound of 8, so that shape cannot be built.
   core::CachedSpecService service(
       cache, proc, kProg, kVers,
       [](std::span<const std::uint32_t> counts,
