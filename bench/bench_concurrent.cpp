@@ -36,10 +36,7 @@
 // so artifacts from different configurations stay distinguishable.
 //
 // --workers-per-shard N pins each reactor shard's worker pool size
-// (default: the worker count splits across shards); --shared-queue
-// collapses the shard-local queues back onto one global queue (the
-// PR 4 shape) so the shard-local-vs-shared dispatch cost is directly
-// A/B-measurable at equal thread counts.
+// (default: the worker count splits across shards).
 //
 // --tcp-depth N switches the workload from UDP to pipelined TCP: each
 // client keeps N calls in flight on one connection (1 = classic
@@ -48,7 +45,7 @@
 //
 // Usage: bench_concurrent [--duration-ms N] [--dwell-us N] [--window N]
 //                         [--reactors N] [--workers-per-shard N]
-//                         [--shared-queue] [--tcp-depth N]
+//                         [--tcp-depth N]
 //                         [--runtime threaded|reactor|both] [--json PATH]
 #include <algorithm>
 #include <atomic>
@@ -85,7 +82,6 @@ struct Point {
   int reactors = 0;     // event-loop shards (1 for the threaded runtime)
   int workers_per_shard = 0;  // 0 = derived from workers
   int tcp_depth = 0;          // 0 = UDP workload
-  bool shared_queue = false;
   std::string backend;  // "threads", "epoll", "poll" or "uring"
   // io_uring_enter syscalls across the measurement (0 on other
   // backends) — the bench's "syscalls per burst" evidence.
@@ -117,7 +113,6 @@ struct Options {
   int reactors = 1;  // reactor-runtime shards
   int workers_per_shard = 0;  // 0 = derive from the workers total
   int tcp_depth = 0;  // 0 = UDP; N>0 = TCP with N pipelined calls/client
-  bool shared_queue = false;  // reactor A/B: one global queue (PR 4 shape)
   double open_loop = 0.0;  // >0: offered calls/sec across clients (UDP)
   std::string runtime = "both";  // threaded | reactor | both
   std::string backend = "auto";  // reactor backend: auto|epoll|poll|uring
@@ -156,7 +151,6 @@ Point run_point(const char* runtime_name, core::SpecCache& cache,
   if constexpr (std::is_same_v<ConfigT, rpc::EventServerRuntimeConfig>) {
     cfg.reactors = opt.reactors;
     cfg.workers_per_shard = opt.workers_per_shard;
-    cfg.shared_queue = opt.shared_queue;
     if (opt.tcp_depth > 0) cfg.tcp_pipeline_depth = opt.tcp_depth;
     if (opt.backend == "epoll") cfg.backend = rpc::EventBackend::kEpoll;
     if (opt.backend == "poll") cfg.backend = rpc::EventBackend::kPoll;
@@ -453,7 +447,6 @@ Point run_point(const char* runtime_name, core::SpecCache& cache,
   if constexpr (std::is_same_v<RuntimeT, rpc::EventServerRuntime>) {
     p.reactors = opt.reactors;
     p.workers_per_shard = opt.workers_per_shard;
-    p.shared_queue = opt.shared_queue;
     p.backend = backend;
     p.uring_enters = uring_enters;
   } else {
@@ -539,12 +532,11 @@ void run(const Options& opt) {
   std::printf(
       "bench_concurrent: echo-array n=%u over loopback %s, "
       "dwell=%dus, %dms per point, cache shards=%zu, reactors=%d, "
-      "backend=%s%s%s, workers/shard=%d, queue=%s, %s\n\n",
+      "backend=%s%s%s, workers/shard=%d, %s\n\n",
       kArraySize, opt.tcp_depth > 0 ? "TCP" : "UDP", opt.dwell_us,
       opt.duration_ms, kCacheShards, opt.reactors, opt.backend.c_str(),
       opt.sqpoll ? "+sqpoll" : "", opt.pin_shards ? "+pin" : "",
       opt.workers_per_shard,
-      opt.shared_queue ? "shared" : "shard-local",
       opt.tcp_depth > 0
           ? "pipelined TCP"
           : (opt.window > 0 ? "pipelined bursts" : "closed loop"));
@@ -647,7 +639,6 @@ void run(const Options& opt) {
     jw.field("reactors", opt.reactors);
     jw.field("workers_per_shard", opt.workers_per_shard);
     jw.field("tcp_depth", opt.tcp_depth);
-    jw.field("queue", opt.shared_queue ? "shared" : "shard-local");
     jw.field("open_loop_per_sec", opt.open_loop);
     // Whether the server recorded latency histograms: the CI overhead
     // A/B diffs a metrics-on artifact against a TEMPO_METRICS=0 one.
@@ -661,7 +652,6 @@ void run(const Options& opt) {
       jw.field("reactors", p.reactors);
       jw.field("workers_per_shard", p.workers_per_shard);
       jw.field("tcp_depth", p.tcp_depth);
-      jw.field("queue", p.shared_queue ? "shared" : "shard-local");
       jw.field("backend", p.backend);
       jw.field("uring_enters", p.uring_enters);
       jw.field("calls_per_sec", p.calls_per_sec);
@@ -709,8 +699,6 @@ int main(int argc, char** argv) {
       opt.workers_per_shard = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--tcp-depth") == 0 && i + 1 < argc) {
       opt.tcp_depth = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--shared-queue") == 0) {
-      opt.shared_queue = true;
     } else if (std::strcmp(argv[i], "--open-loop") == 0 && i + 1 < argc) {
       opt.open_loop = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--runtime") == 0 && i + 1 < argc) {
@@ -738,7 +726,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [--duration-ms N] [--dwell-us N] "
                    "[--window N] [--reactors N] [--workers-per-shard N] "
-                   "[--shared-queue] [--tcp-depth N] [--open-loop RATE] "
+                   "[--tcp-depth N] [--open-loop RATE] "
                    "[--runtime threaded|reactor|both] "
                    "[--backend auto|epoll|poll|uring] [--sqpoll] "
                    "[--pin-shards] [--probe-uring] [--json PATH|-]\n",

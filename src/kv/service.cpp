@@ -1,6 +1,7 @@
 #include "kv/service.h"
 
 #include <functional>
+#include <utility>
 
 #include "xdr/primitives.h"
 
@@ -138,14 +139,13 @@ Result<std::uint64_t> KvService::commit(LogRecord r) {
     // Volatile mode: sequence is assigned under the apply lock below.
     r.seq = 0;
   }
-  const std::uint64_t seq = apply_in_order(shard, r);
+  const std::uint64_t seq = apply_in_order(shard, std::move(r));
   if (timed) commit_hist_.record(common::monotonic_ns() - t0);
   return seq;
 }
 
-std::uint64_t KvService::apply_in_order(Shard& shard, const LogRecord& r) {
+std::uint64_t KvService::apply_in_order(Shard& shard, LogRecord rec) {
   std::unique_lock<std::mutex> lock(shard.apply_mu);
-  LogRecord rec = r;
   if (rec.seq == 0) {
     rec.seq = shard.store.last_applied() + 1;
   } else {

@@ -122,8 +122,9 @@ class KvService final : public ShipSource {
 
   KvService() = default;
   Result<std::uint64_t> commit(LogRecord r);
-  // Returns the sequence the record was applied at.
-  std::uint64_t apply_in_order(Shard& shard, const LogRecord& r);
+  // Returns the sequence the record was applied at.  Takes the record
+  // by value: commit moves it in, and it ends up in the retained tail.
+  std::uint64_t apply_in_order(Shard& shard, LogRecord rec);
 
   Options opts_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -7,6 +7,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#if defined(__linux__)
+#include <linux/sock_diag.h>
+#endif
+
 #include <cerrno>
 #include <cstring>
 
@@ -111,9 +115,14 @@ int UdpSocket::recv_many(std::vector<Datagram>& out, int max_msgs) {
     }
   }
 #if defined(__linux__)
-  std::vector<mmsghdr> msgs(static_cast<std::size_t>(max_msgs));
-  std::vector<iovec> iovs(static_cast<std::size_t>(max_msgs));
-  std::vector<sockaddr_in> addrs(static_cast<std::size_t>(max_msgs));
+  // Reused per calling thread, like send_many's: a worker calls this
+  // once per wake-up, so it must not hit the allocator.
+  thread_local std::vector<mmsghdr> msgs;
+  thread_local std::vector<iovec> iovs;
+  thread_local std::vector<sockaddr_in> addrs;
+  msgs.resize(static_cast<std::size_t>(max_msgs));
+  iovs.resize(static_cast<std::size_t>(max_msgs));
+  addrs.resize(static_cast<std::size_t>(max_msgs));
   for (int i = 0; i < max_msgs; ++i) {
     const auto u = static_cast<std::size_t>(i);
     iovs[u].iov_base = out[u].payload.data();
@@ -161,7 +170,7 @@ int UdpSocket::send_many(const OutDatagram* msgs, int count) {
   if (fd_ < 0 || count <= 0) return 0;
 #if defined(__linux__)
   // Reused per calling thread so a steady stream of batched flushes
-  // does not hit the allocator (mirrors recv_many's pooled buffers).
+  // does not hit the allocator.
   thread_local std::vector<mmsghdr> hdrs;
   thread_local std::vector<iovec> iovs;
   thread_local std::vector<sockaddr_in> addrs;
@@ -202,6 +211,44 @@ int UdpSocket::send_many(const OutDatagram* msgs, int count) {
   }
   return sent;
 #endif
+}
+
+int UdpSocket::discard_pending(int max_msgs) {
+  int n = 0;
+  std::uint8_t byte = 0;
+  while (fd_ >= 0 && n < max_msgs) {
+    // A one-byte read consumes the whole datagram (the rest is
+    // truncated away).
+    if (::recv(fd_, &byte, 1, MSG_DONTWAIT) < 0) {
+      if (errno == EINTR) continue;
+      break;  // EWOULDBLOCK: nothing left
+    }
+    ++n;
+  }
+  return n;
+}
+
+bool UdpSocket::wait_writable(int timeout_ms) {
+  if (fd_ < 0) return false;
+  pollfd pfd{fd_, POLLOUT, 0};
+  int n;
+  do {
+    n = ::poll(&pfd, 1, timeout_ms);
+  } while (n < 0 && errno == EINTR);
+  return n > 0 && (pfd.revents & POLLOUT) != 0;
+}
+
+std::uint32_t UdpSocket::kernel_drops() const {
+#if defined(__linux__) && defined(SO_MEMINFO)
+  std::uint32_t mem[SK_MEMINFO_VARS] = {};
+  socklen_t len = sizeof(mem);
+  if (fd_ >= 0 &&
+      ::getsockopt(fd_, SOL_SOCKET, SO_MEMINFO, mem, &len) == 0 &&
+      len >= (SK_MEMINFO_DROPS + 1) * sizeof(mem[0])) {
+    return mem[SK_MEMINFO_DROPS];
+  }
+#endif
+  return 0;
 }
 
 Result<std::size_t> UdpSocket::recv_from(Addr* src, MutableByteSpan out,

@@ -1,6 +1,7 @@
 // Real UDP datagram transport over the host's loopback interface.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "net/transport.h"
@@ -80,6 +81,19 @@ class UdpSocket final : public DatagramTransport {
   // ...) and returns how many were sent; the caller owns retrying the
   // tail.  EINTR is retried internally.
   int send_many(const OutDatagram* msgs, int count);
+
+  // Reads and throws away up to max_msgs pending datagrams without
+  // copying their payloads; returns how many there were.
+  int discard_pending(int max_msgs);
+
+  // Blocks up to timeout_ms until the socket has send-buffer space
+  // again (after send_many refused a datagram); false on timeout.
+  bool wait_writable(int timeout_ms);
+
+  // Datagrams the kernel dropped on this socket so far because its
+  // receive buffer was full (SO_MEMINFO's drop counter; a wrapping
+  // 32-bit count, 0 where the platform does not report it).
+  std::uint32_t kernel_drops() const;
 
  private:
   int fd_ = -1;

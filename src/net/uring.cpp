@@ -180,19 +180,6 @@ bool Uring::prep_cancel(std::uint64_t target_ud, std::uint64_t ud) {
   return true;
 }
 
-bool Uring::prep_recvmsg_multishot(int fd, msghdr* mh, std::uint64_t ud) {
-  io_uring_sqe* sqe = get_sqe();
-  if (sqe == nullptr) return false;
-  sqe->opcode = IORING_OP_RECVMSG;
-  sqe->fd = fd;
-  sqe->addr = reinterpret_cast<std::uintptr_t>(mh);
-  sqe->ioprio = IORING_RECV_MULTISHOT;
-  sqe->flags = IOSQE_BUFFER_SELECT;
-  sqe->buf_group = 0;
-  sqe->user_data = ud;
-  return true;
-}
-
 bool Uring::prep_recv_multishot(int fd, std::uint64_t ud) {
   io_uring_sqe* sqe = get_sqe();
   if (sqe == nullptr) return false;
@@ -201,19 +188,6 @@ bool Uring::prep_recv_multishot(int fd, std::uint64_t ud) {
   sqe->ioprio = IORING_RECV_MULTISHOT;
   sqe->flags = IOSQE_BUFFER_SELECT;
   sqe->buf_group = 0;
-  sqe->user_data = ud;
-  return true;
-}
-
-bool Uring::prep_sendmsg(int fd, const msghdr* mh, std::uint64_t ud,
-                         bool link) {
-  io_uring_sqe* sqe = get_sqe();
-  if (sqe == nullptr) return false;
-  sqe->opcode = IORING_OP_SENDMSG;
-  sqe->fd = fd;
-  sqe->addr = reinterpret_cast<std::uintptr_t>(mh);
-  sqe->msg_flags = MSG_DONTWAIT;
-  if (link) sqe->flags |= IOSQE_IO_LINK;
   sqe->user_data = ud;
   return true;
 }
@@ -400,13 +374,7 @@ Uring::~Uring() = default;
 bool Uring::prep_poll_add(int, unsigned, std::uint64_t) { return false; }
 bool Uring::prep_poll_remove(std::uint64_t, std::uint64_t) { return false; }
 bool Uring::prep_cancel(std::uint64_t, std::uint64_t) { return false; }
-bool Uring::prep_recvmsg_multishot(int, msghdr*, std::uint64_t) {
-  return false;
-}
 bool Uring::prep_recv_multishot(int, std::uint64_t) { return false; }
-bool Uring::prep_sendmsg(int, const msghdr*, std::uint64_t, bool) {
-  return false;
-}
 bool Uring::setup_buf_ring(unsigned) { return false; }
 void Uring::buf_ring_add(unsigned short, void*, unsigned) {}
 void Uring::buf_ring_commit() {}

@@ -8,8 +8,8 @@
 //   * a single registered provided-buffer ring (IORING_REGISTER_PBUF_RING)
 //     whose slots the runtime maps onto BufferArena slices, and
 //   * the user_data tag convention that multiplexes reactor-internal
-//     completions (poll, wake, cancel) and runtime completions (UDP/TCP
-//     multishot recv, linked UDP sends) over one CQ.
+//     completions (poll, wake, cancel) and runtime completions (TCP
+//     multishot recv) over one CQ.
 //
 // Compile-time gate: TEMPO_HAVE_URING is 1 only when the kernel headers
 // declare multishot receive (IORING_RECV_MULTISHOT, kernel >= 6.0
@@ -19,8 +19,6 @@
 // kernel (io_uring may be compiled out or seccomp-filtered) and honors
 // the TEMPO_URING=0 kill switch.
 #pragma once
-
-#include <sys/socket.h>
 
 #include <atomic>
 #include <cstdint>
@@ -100,18 +98,8 @@ class Uring {
   bool prep_poll_remove(std::uint64_t target_ud, std::uint64_t ud);
   // IORING_OP_ASYNC_CANCEL of every op matching target_ud.
   bool prep_cancel(std::uint64_t target_ud, std::uint64_t ud);
-  // Multishot recvmsg with buffer select from the registered ring.  mh
-  // must stay alive while the op is armed; only msg_namelen is consumed
-  // (completions carry io_uring_recvmsg_out + name + payload in the
-  // selected buffer).
-  bool prep_recvmsg_multishot(int fd, struct msghdr* mh, std::uint64_t ud);
   // Multishot recv (stream sockets) with buffer select.
   bool prep_recv_multishot(int fd, std::uint64_t ud);
-  // sendmsg; link=true sets IOSQE_IO_LINK so consecutive sends form one
-  // ordered chain (the uring replacement for a sendmmsg batch).  mh and
-  // everything it points at must stay alive until the CQE.
-  bool prep_sendmsg(int fd, const struct msghdr* mh, std::uint64_t ud,
-                    bool link);
 
   // ---- Registered provided-buffer ring -------------------------------
   // One group per Uring.  entries must be a power of two.

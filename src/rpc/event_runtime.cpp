@@ -9,8 +9,6 @@
 #include <utility>
 
 #if defined(__linux__)
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <pthread.h>
 #include <sched.h>
 #endif
@@ -46,24 +44,14 @@ void pin_thread_to_cpu(std::size_t index) {
 
 #if TEMPO_HAVE_URING
 // user_data tags of the runtime's own SQEs (tags below kUringTagUser
-// belong to the Reactor: poll, wake, ignore).
-constexpr std::uint64_t kTagUdpRecv = net::kUringTagUser + 0;    // no payload
-constexpr std::uint64_t kTagTcpRecv = net::kUringTagUser + 1;    // conn id
-constexpr std::uint64_t kTagUdpSend = net::kUringTagUser + 2;    // send slot
-constexpr std::uint64_t kTagTcpCancel = net::kUringTagUser + 3;  // conn id
-
-sockaddr_in addr_to_sockaddr(const net::Addr& a) {
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_addr.s_addr = htonl(a.host);
-  sa.sin_port = htons(a.port);
-  return sa;
-}
-
-net::Addr addr_from_sockaddr(const sockaddr_in& sa) {
-  return net::Addr{ntohl(sa.sin_addr.s_addr), ntohs(sa.sin_port)};
-}
+// belong to the Reactor: poll, wake, ignore).  Both carry the conn id.
+constexpr std::uint64_t kTagTcpRecv = net::kUringTagUser + 0;
+constexpr std::uint64_t kTagTcpCancel = net::kUringTagUser + 1;
 #endif  // TEMPO_HAVE_URING
+
+// How long a worker waits for send-buffer space before its one retry of
+// a refused reply tail.
+constexpr int kReplyRetryWaitMs = 10;
 
 }  // namespace
 
@@ -72,50 +60,19 @@ net::Addr addr_from_sockaddr(const sockaddr_in& sa) {
 //
 // Buffer-ownership contract (see src/net/README.md): bufs[bid] is the
 // arena slice currently lent to the kernel's provided-buffer ring slot
-// `bid` and is pin()-accounted for exactly that duration.  A receive
-// completion MOVES the slice out (UDP: into the datagram job; TCP: its
-// bytes are copied by parse_records and the same slice goes straight
-// back) and the slot is refilled before the next buf_ring_commit — a
-// slice the kernel may still write is never recycled, resized, or
+// `bid` and is pin()-accounted for exactly that duration.  A TCP
+// receive completion's bytes are copied by parse_records and the same
+// slice goes straight back on the ring before the next buf_ring_commit
+// — a slice the kernel may still write is never recycled, resized, or
 // freed.
 struct EventServerRuntime::ShardUring {
 #if TEMPO_HAVE_URING
   std::vector<Bytes> bufs;  // bid -> slice on the ring
-  // Persistent header for the UDP multishot recvmsg (only msg_namelen
-  // is read; completions carry io_uring_recvmsg_out + source address +
-  // payload inline in the selected buffer).
-  msghdr udp_msg{};
-  bool udp_armed = false;
-  // Consecutive terminal recv errors that delivered no data.  Past a
-  // small burst the drain hook stops instantly re-arming and retries at
-  // poll-timeout pace instead — a persistent kernel-side error (bad fd,
-  // exhausted buffer group) must not become a syscall-speed spin.
-  int udp_arm_errors = 0;
-  // Datagram jobs accumulated across one CQ drain; uring_drain_end
-  // pushes them under ONE queue lock — the uring analogue of the
-  // recvmmsg batch.  pending_recv_ns stamps the whole batch.
-  std::vector<UdpDatagramJob> pending;
-  std::int64_t pending_recv_ns = 0;
-  // Linked-send slots.  A deque so addresses stay stable while the
-  // kernel reads the msghdr/iovec; completions recycle indices through
-  // free_slots.
-  struct SendOp {
-    msghdr mh{};
-    iovec iov{};
-    sockaddr_in dst{};
-    net::Addr addr;
-    Bytes buf;
-    std::size_t len = 0;
-    std::int64_t recv_ns = 0;
-  };
-  std::deque<SendOp> sends;
-  std::vector<std::size_t> free_slots;
-  int inflight_sends = 0;
-  // user_data of every armed multishot receive (the UDP recvmsg plus
-  // one per reading conn).  Maintained at arm and at terminal CQE —
-  // independent of the conn map, so a late completion after
-  // destroy_conn still balances — and consumed by uring_teardown,
-  // which cancels exactly these and waits for their terminal CQEs.
+  // user_data of every armed multishot receive (one per reading conn).
+  // Maintained at arm and at terminal CQE — independent of the conn
+  // map, so a late completion after destroy_conn still balances — and
+  // consumed by uring_teardown, which cancels exactly these and waits
+  // for their terminal CQEs.
   std::unordered_set<std::uint64_t> armed_recvs;
 #endif
 };
@@ -167,9 +124,7 @@ Status EventServerRuntime::start() {
   // still a request (a shard whose ring setup fails individually runs
   // epoll and reports so through backend()).
   net::ReactorBackend rb = net::ReactorBackend::kAuto;
-  const EventBackend want =
-      cfg_.force_poll_backend ? EventBackend::kPoll : cfg_.backend;
-  switch (want) {
+  switch (cfg_.backend) {
     case EventBackend::kAuto:
       rb = net::Reactor::uring_supported() ? net::ReactorBackend::kUring
                                            : net::ReactorBackend::kAuto;
@@ -194,40 +149,55 @@ Status EventServerRuntime::start() {
     }
   }
 
+  // Shard-local worker pools.  workers_per_shard pins each shard's
+  // pool exactly; otherwise the `workers` total is split as evenly as
+  // possible (remainder to the low shards, shards beyond the total get
+  // zero — their TCP queues drain through stealing siblings), so the
+  // spawned thread count equals what the config asked for.  Shard 0
+  // always gets at least one.
+  worker_count_ = 0;
+  for (std::size_t i = 0; i < nshards; ++i) {
+    int count = cfg_.workers_per_shard;
+    if (count < 1) {
+      const std::size_t total =
+          static_cast<std::size_t>(cfg_.workers < 1 ? 1 : cfg_.workers);
+      count = static_cast<int>(total / nshards + (i < total % nshards));
+    }
+    shards_[i]->home_workers = count;
+    worker_count_ += count;
+  }
+
   if (cfg_.enable_udp) {
-    if (nshards > 1) {
-      // One SO_REUSEPORT socket per shard, all on the same port: the
-      // kernel disperses datagrams across the group by flow hash, so
-      // each client flow sticks to one shard.
-      auto first = std::make_unique<net::UdpSocket>(cfg_.udp_port,
-                                                    /*reuseport=*/true);
-      if (first && first->ok()) {
-        const std::uint16_t port = first->local_addr().port;
-        shards_[0]->udp = std::move(first);
-        bool all_ok = true;
-        for (std::size_t i = 1; i < nshards; ++i) {
-          auto sock = std::make_unique<net::UdpSocket>(port,
-                                                       /*reuseport=*/true);
-          if (!sock->ok()) {
-            all_ok = false;
-            break;
-          }
-          shards_[i]->udp = std::move(sock);
+    // Only shards with workers receive UDP (workers read the sockets;
+    // a socket nobody reads would swallow its flow-hash share).
+    std::vector<Shard*> receivers;
+    for (auto& sp : shards_) {
+      if (sp->home_workers > 0) receivers.push_back(sp.get());
+    }
+    if (receivers.size() > 1) {
+      // One SO_REUSEPORT socket per receiving shard, all on the same
+      // port: the kernel disperses datagrams across the group by flow
+      // hash, so each client flow sticks to one shard.
+      std::uint16_t port = cfg_.udp_port;
+      bool all_ok = true;
+      for (Shard* r : receivers) {
+        r->udp = std::make_unique<net::UdpSocket>(port, /*reuseport=*/true);
+        if (!r->udp->ok()) {
+          all_ok = false;
+          break;
         }
-        if (all_ok) {
-          udp_sharded_ = true;
-        } else {
-          // Partial group: tear the members down and fall back to one
-          // receiving socket below.
-          for (auto& s : shards_) s->udp.reset();
-        }
+        port = r->udp->local_addr().port;
+      }
+      udp_sharded_ = all_ok;
+      // Partial group: tear the members down and fall back to one
+      // receiving socket below.
+      if (!all_ok) {
+        for (auto& sp : shards_) sp->udp.reset();
       }
     }
     if (!udp_sharded_) {
-      // Single-loop mode, or the REUSEPORT fallback: shard 0 is the one
-      // receiving shard.  Datagram JOBS still fan out (shard 0's queue
-      // plus stealing siblings), so dispatch parallelism survives —
-      // only the recv syscalls stay on one loop.
+      // One receiving socket on shard 0, watched by every worker of
+      // every shard.
       shards_[0]->udp = std::make_unique<net::UdpSocket>(cfg_.udp_port);
     }
     if (!shards_[0]->udp->ok()) {
@@ -240,16 +210,6 @@ Status EventServerRuntime::start() {
       if (!st.is_ok()) {
         shards_.clear();
         return st;
-      }
-      // The shard threads are not running yet, so registration from the
-      // caller's thread is safe.  uring shards receive through a
-      // multishot recvmsg armed in setup_shard_uring instead of a
-      // readiness poll (setup falls back to this path if its
-      // provided-buffer ring cannot register).
-      Shard* s = sp.get();
-      if (s->reactor.uring() == nullptr) {
-        s->reactor.add(s->udp->fd(), net::kEventRead,
-                       [this, s](unsigned) { on_udp_readable(*s); });
       }
     }
   }
@@ -272,29 +232,37 @@ Status EventServerRuntime::start() {
                             [this](unsigned) { on_accept_ready(); });
   }
 
-  // Shard-local worker pools.  workers_per_shard pins each shard's
-  // pool exactly; otherwise the legacy `workers` total is split as
-  // evenly as possible (remainder to the low shards, shards beyond the
-  // total get zero — their queues drain through stealing siblings), so
-  // the spawned thread count equals what the config asked for.  Under
-  // shared_queue every worker homes on shard 0 — the PR 4 shape — but
-  // the total stays identical so A/B runs compare queues, not thread
-  // counts.
-  worker_count_ = 0;
-  for (std::size_t i = 0; i < nshards; ++i) {
-    int count = cfg_.workers_per_shard;
-    if (count < 1) {
-      const std::size_t total =
-          static_cast<std::size_t>(cfg_.workers < 1 ? 1 : cfg_.workers);
-      count = static_cast<int>(total / nshards + (i < total % nshards));
+  // Every worker's WaitSet watches the socket it serves: its home
+  // shard's, or shard 0's when UDP is not sharded.
+  for (auto& sp : shards_) {
+    const net::UdpSocket* sock =
+        sp->udp ? sp->udp.get() : shards_[0]->udp.get();
+    for (int w = 0; w < sp->home_workers; ++w) {
+      auto worker = std::make_unique<Worker>();
+      if (!worker->wait.ok() || (sock && !worker->wait.watch(sock->fd()))) {
+        shards_.clear();
+        tcp_.reset();
+        return unavailable("EventServerRuntime: worker wait set");
+      }
+      sp->workers.push_back(std::move(worker));
     }
-    const std::size_t home = cfg_.shared_queue ? 0 : i;
-    Shard& owner = *shards_[home];
-    owner.home_workers += count;
-    for (int w = 0; w < count; ++w) {
-      owner.workers.emplace_back([this, home] { worker_loop(home); });
+  }
+  {
+    // Kernel drops count from here on (a fresh socket starts at 0).
+    std::lock_guard<std::mutex> lock(drops_mu_);
+    drop_books_.clear();
+    for (auto& sp : shards_) {
+      if (sp->udp) {
+        drop_books_.emplace_back(sp->udp.get(), sp->udp->kernel_drops());
+      }
     }
-    worker_count_ += count;
+  }
+  for (auto& sp : shards_) {
+    const std::size_t home = sp->index;
+    for (auto& w : sp->workers) {
+      Worker* wp = w.get();
+      wp->thread = std::thread([this, home, wp] { worker_loop(home, *wp); });
+    }
   }
   for (auto& sp : shards_) {
     Shard* s = sp.get();
@@ -311,6 +279,7 @@ Status EventServerRuntime::start() {
         const auto c = [](const std::atomic<std::int64_t>& v) {
           return v.load(std::memory_order_relaxed);
         };
+        fold_kernel_drops();
         snap.add_counter("rpc.udp_datagrams", c(stats_.udp_datagrams));
         snap.add_counter("rpc.udp_batches", c(stats_.udp_batches));
         snap.add_counter("rpc.udp_reply_batches", c(stats_.udp_reply_batches));
@@ -323,6 +292,7 @@ Status EventServerRuntime::start() {
         snap.add_counter("rpc.overload_drops", c(stats_.overload_drops));
         snap.add_counter("rpc.conn_resets", c(stats_.conn_resets));
         snap.add_counter("rpc.write_stalls", c(stats_.write_stalls));
+        snap.add_counter("rpc.dispatch_stalls", c(stats_.dispatch_stalls));
         snap.add_counter("rpc.work_steals", c(stats_.work_steals));
         snap.add_counter("rpc.tick_steals", c(stats_.tick_steals));
         for (const auto& sp : shards_) {
@@ -357,15 +327,16 @@ Status EventServerRuntime::start() {
 void EventServerRuntime::stop() {
   if (!running_.load(std::memory_order_acquire)) return;
 
-  // Phase 1: stop reading new requests on EVERY shard (each closure
+  // Phase 1: stop reading new TCP requests on EVERY shard (each closure
   // runs on its own shard's thread).  Shard 0 also drops the listener.
   for (auto& sp : shards_) {
     Shard* s = sp.get();
     s->reactor.post([this, s] { close_intake(*s); });
   }
 
-  // Phase 2: bounded drain — queued requests finish and their replies
-  // are handed back to the still-running shard reactors.
+  // Phase 2: bounded drain — queued TCP requests finish and their
+  // replies are handed back to the still-running shard reactors.
+  // Workers keep serving UDP meanwhile.
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(cfg_.drain_timeout_ms);
   while (pending_jobs_.load(std::memory_order_acquire) > 0 &&
@@ -385,14 +356,29 @@ void EventServerRuntime::stop() {
     }
   }
 
-  // Phase 3: workers down (only in-flight jobs remain).
+  // Phase 3: workers down.  Each one first serves the datagrams already
+  // in its socket, until the same deadline.
+  drain_deadline_ = deadline;
   workers_stop_.store(true, std::memory_order_release);
-  for (auto& sp : shards_) sp->q_cv.notify_all();
   for (auto& sp : shards_) {
-    for (auto& t : sp->workers) {
-      if (t.joinable()) t.join();
+    for (auto& w : sp->workers) w->wait.ring();
+  }
+  for (auto& sp : shards_) {
+    for (auto& w : sp->workers) {
+      if (w->thread.joinable()) w->thread.join();
     }
-    sp->workers.clear();
+  }
+  // What the workers left unread is counted, never lost silently.  The
+  // sweep is bounded (well past what a default receive buffer holds) so
+  // a peer still flooding cannot hold stop() here.
+  for (auto& sp : shards_) {
+    if (sp->udp) stats_.overload_drops += sp->udp->discard_pending(4096);
+  }
+  fold_kernel_drops();
+  {
+    // The sockets close with the shards below; stats() stops folding.
+    std::lock_guard<std::mutex> lock(drops_mu_);
+    drop_books_.clear();
   }
 
   // Phase 4: every shard down; each loop flushes and closes its own
@@ -446,6 +432,16 @@ std::int64_t EventServerRuntime::uring_enter_calls() const {
   return total;
 }
 
+void EventServerRuntime::fold_kernel_drops() const {
+  std::lock_guard<std::mutex> lock(drops_mu_);
+  for (auto& [sock, folded] : drop_books_) {
+    const std::uint32_t now = sock->kernel_drops();
+    // A wrapping 32-bit counter: the unsigned difference is the delta.
+    stats_.overload_drops += static_cast<std::uint32_t>(now - folded);
+    folded = now;
+  }
+}
+
 RuntimeLatencySnapshot EventServerRuntime::latency_snapshot() const {
   RuntimeLatencySnapshot out;
   for (const auto& sp : shards_) {
@@ -497,20 +493,6 @@ void EventServerRuntime::shard_loop(Shard& s) {
 void EventServerRuntime::close_intake(Shard& s) {
   if (s.intake_closed) return;
   s.intake_closed = true;
-  if (s.udp) {
-    s.reactor.remove(s.udp->fd());
-#if TEMPO_HAVE_URING
-    if (s.uring && s.uring->udp_armed) {
-      // Stop the multishot recvmsg.  The cancel's own CQE is ignored;
-      // the recv's terminal CQE clears udp_armed, and uring_drain_end
-      // never re-arms once intake_closed is set.
-      if (net::Uring* ring = s.reactor.uring()) {
-        ring->prep_cancel(net::uring_user_data(kTagUdpRecv, 0),
-                          net::uring_user_data(net::kUringTagIgnore, 0));
-      }
-    }
-#endif
-  }
   if (s.index == 0 && tcp_) s.reactor.remove(tcp_->fd());
   // Records parsed but not yet handed to the pool are dropped here so
   // the stop() drain has a fixed amount of work: exactly the jobs the
@@ -529,22 +511,6 @@ void EventServerRuntime::close_intake(Shard& s) {
     it->second.stalled = false;
     finish_conn_if_idle(s, it->second);
   }
-}
-
-void EventServerRuntime::on_udp_readable(Shard& s) {
-  std::vector<net::Datagram> buf = take_batch_buffer(s);
-  const int n = s.udp->recv_many(buf, cfg_.udp_batch);
-  if (n <= 0) {
-    recycle_batch_buffer(s, std::move(buf));
-    return;
-  }
-  ++stats_.udp_batches;
-  stats_.udp_datagrams += n;
-  // One clock read per recvmmsg, shared by every datagram of the batch.
-  const std::int64_t recv_ns = metrics_on_ ? common::monotonic_ns() : 0;
-  const int accepted = push_datagram_jobs(s, buf, n, recv_ns);
-  if (accepted < n) stats_.overload_drops += n - accepted;
-  recycle_batch_buffer(s, std::move(buf));
 }
 
 void EventServerRuntime::on_accept_ready() {
@@ -721,14 +687,14 @@ void EventServerRuntime::dispatch_ready(Shard& s, Conn& c) {
   // the calls had run one at a time.
   while (c.inflight < pipeline_depth_ && !c.ready_records.empty()) {
     const std::uint64_t seq = c.next_seq;
-    Job job = TcpRequestJob{s.index, c.id, seq,
-                            std::move(c.ready_records.front())};
+    TcpRequestJob job{s.index, c.id, seq, std::move(c.ready_records.front())};
     if (!push_job(s.index, job)) {
       // Queue full: put the record back and park the conn on the
       // stalled list; shard_loop ticks until it re-dispatches (never
       // block the reactor thread).
-      c.ready_records.front() = std::move(std::get<TcpRequestJob>(job).record);
+      c.ready_records.front() = std::move(job.record);
       if (!c.stalled) {
+        ++stats_.dispatch_stalls;
         c.stalled = true;
         s.stalled_conns.push_back(c.id);
       }
@@ -947,24 +913,19 @@ void EventServerRuntime::on_reply(Shard& s, std::uint64_t conn_id,
 
 void EventServerRuntime::setup_shard_uring(Shard& s) {
   net::Uring* ring = s.reactor.uring();
-  if (ring == nullptr) return;
+  // The ring only feeds TCP receives: without TCP there is nothing for
+  // it to hold, and no arena slices are pinned for it.
+  if (ring == nullptr || !cfg_.enable_tcp) return;
   const unsigned entries = std::bit_ceil(
       static_cast<unsigned>(cfg_.uring_buffers < 8 ? 8 : cfg_.uring_buffers));
-  if (!ring->setup_buf_ring(entries)) {
-    // No provided buffers: run the recvmmsg path over the uring
-    // reactor's fd polls instead (interest polls work without them).
-    if (s.udp) {
-      Shard* sp = &s;
-      s.reactor.add(s.udp->fd(), net::kEventRead,
-                    [this, sp](unsigned) { on_udp_readable(*sp); });
-    }
-    return;
-  }
+  // No provided buffers: conns read through the uring reactor's fd
+  // polls instead (s.uring stays null, so adopt_conn asks for reads).
+  if (!ring->setup_buf_ring(entries)) return;
   auto u = std::make_unique<ShardUring>();
   u->bufs.resize(entries);
   for (unsigned b = 0; b < entries; ++b) {
     // One arena slice per ring slot, pinned while the kernel may write
-    // into it (the slice leaves the ring only through a completion).
+    // into it.
     Bytes buf = s.arena.take(net::kMaxDatagramBytes);
     ring->buf_ring_add(static_cast<unsigned short>(b), buf.data(),
                        static_cast<unsigned>(buf.size()));
@@ -978,30 +939,18 @@ void EventServerRuntime::setup_shard_uring(Shard& s) {
       [this, sp](std::uint64_t ud, std::int32_t res, std::uint32_t fl) {
         on_uring_cqe(*sp, ud, res, fl);
       });
-  s.reactor.set_cqe_drain_hook([this, sp] { uring_drain_end(*sp); });
-  if (s.udp) {
-    s.uring->udp_msg = msghdr{};
-    s.uring->udp_msg.msg_namelen = sizeof(sockaddr_in);
-    if (ring->prep_recvmsg_multishot(s.udp->fd(), &s.uring->udp_msg,
-                                     net::uring_user_data(kTagUdpRecv, 0))) {
-      s.uring->udp_armed = true;
-      s.uring->armed_recvs.insert(net::uring_user_data(kTagUdpRecv, 0));
-    }
-  }
+  // The per-poll batch point: publish every buf_ring_add staged while
+  // the CQEs were handled in one release-store; the SQEs ride
+  // poll_once's single submit.
+  s.reactor.set_cqe_drain_hook([ring] { ring->buf_ring_commit(); });
 }
 
 void EventServerRuntime::on_uring_cqe(Shard& s, std::uint64_t ud,
                                       std::int32_t res, std::uint32_t flags) {
   if (!s.uring) return;
   switch (net::uring_tag(ud)) {
-    case kTagUdpRecv:
-      on_udp_recv_cqe(s, res, flags);
-      break;
     case kTagTcpRecv:
       on_tcp_recv_cqe(s, net::uring_payload(ud), res, flags);
-      break;
-    case kTagUdpSend:
-      on_udp_send_cqe(s, net::uring_payload(ud), res);
       break;
     case kTagTcpCancel: {
       // A backpressure cancel finished: reconcile the conn's read state
@@ -1016,69 +965,6 @@ void EventServerRuntime::on_uring_cqe(Shard& s, std::uint64_t ud,
     default:
       break;
   }
-}
-
-void EventServerRuntime::on_udp_recv_cqe(Shard& s, std::int32_t res,
-                                         std::uint32_t flags) {
-  ShardUring& u = *s.uring;
-  net::Uring* ring = s.reactor.uring();
-  if ((flags & IORING_CQE_F_MORE) == 0) {
-    // Terminal completion (cancel, transient error, or the buffer ring
-    // ran dry): the multishot op is gone; uring_drain_end re-arms it
-    // after the refills below unless intake has closed.
-    u.udp_armed = false;
-    u.armed_recvs.erase(net::uring_user_data(kTagUdpRecv, 0));
-    if (res < 0 && res != -ECANCELED && (flags & IORING_CQE_F_BUFFER) == 0) {
-      ++u.udp_arm_errors;
-    }
-  }
-  if (res < 0 || (flags & IORING_CQE_F_BUFFER) == 0) return;
-  u.udp_arm_errors = 0;
-  const unsigned bid = flags >> IORING_CQE_BUFFER_SHIFT;
-  if (bid >= u.bufs.size()) return;
-  Bytes& slice = u.bufs[bid];
-  // Completion layout (validated by Uring::supported's probe): the
-  // selected buffer holds io_uring_recvmsg_out, then msg_namelen bytes
-  // of source address, then the datagram payload.
-  io_uring_recvmsg_out out{};
-  bool drop = static_cast<std::size_t>(res) < sizeof(out);
-  std::size_t off = 0;
-  if (!drop) {
-    std::memcpy(&out, slice.data(), sizeof(out));
-    off = sizeof(out) + sizeof(sockaddr_in);
-    drop = (out.flags & MSG_TRUNC) != 0 ||  // datagram larger than a slot
-           out.namelen > sizeof(sockaddr_in) ||
-           off + out.payloadlen > static_cast<std::size_t>(res);
-  }
-  if (drop || s.intake_closed) {
-    // Drop the datagram, keep the slice on the ring.
-    ring->buf_ring_add(static_cast<unsigned short>(bid), slice.data(),
-                       static_cast<unsigned>(slice.size()));
-    return;
-  }
-  sockaddr_in src{};
-  std::memcpy(&src, slice.data() + sizeof(out), sizeof(src));
-  if (u.pending.empty()) {
-    // One clock read per CQ drain, shared by the whole batch — the
-    // recvmmsg stamp discipline.
-    u.pending_recv_ns = metrics_on_ ? common::monotonic_ns() : 0;
-  }
-  UdpDatagramJob job;
-  job.shard = s.index;
-  job.src = addr_from_sockaddr(src);
-  job.len = out.payloadlen;
-  job.off = off;  // payload stays where the kernel wrote it — no memmove
-  job.recv_ns = u.pending_recv_ns;
-  // The kernel is done with this slice: it leaves the ring (unpin) and
-  // travels to a worker; a fresh arena slice takes over its slot.
-  s.arena.unpin(slice.size());
-  job.payload = std::move(slice);
-  Bytes fresh = s.arena.take(net::kMaxDatagramBytes);
-  s.arena.pin(fresh.size());
-  ring->buf_ring_add(static_cast<unsigned short>(bid), fresh.data(),
-                     static_cast<unsigned>(fresh.size()));
-  u.bufs[bid] = std::move(fresh);
-  u.pending.push_back(std::move(job));
 }
 
 void EventServerRuntime::on_tcp_recv_cqe(Shard& s, std::uint64_t conn_id,
@@ -1125,32 +1011,6 @@ void EventServerRuntime::on_tcp_recv_cqe(Shard& s, std::uint64_t conn_id,
   if (fin != s.conns.end()) finish_conn_if_idle(s, fin->second);
 }
 
-void EventServerRuntime::on_udp_send_cqe(Shard& s, std::uint64_t slot,
-                                         std::int32_t res) {
-  ShardUring& u = *s.uring;
-  if (slot >= u.sends.size()) return;
-  ShardUring::SendOp& op = u.sends[slot];
-  if (res < 0) {
-    // A failed link cancels the rest of its chain (-ECANCELED), so each
-    // member gets one synchronous retry — mirroring the sendmmsg-tail
-    // retry of the epoll path.
-    ++stats_.reply_send_retries;
-    if (!s.udp ||
-        !s.udp->send_to(op.addr, ByteSpan(op.buf.data(), op.len)).is_ok()) {
-      ++stats_.reply_send_failures;
-    } else if (op.recv_ns > 0) {
-      s.udp_e2e_hist.record(common::monotonic_ns() - op.recv_ns);
-    }
-  } else if (op.recv_ns > 0) {
-    s.udp_e2e_hist.record(common::monotonic_ns() - op.recv_ns);
-  }
-  s.arena.recycle(std::move(op.buf));
-  op.buf = Bytes();
-  u.free_slots.push_back(static_cast<std::size_t>(slot));
-  --u.inflight_sends;
-  pending_jobs_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
 void EventServerRuntime::uring_sync_conn_recv(Shard& s, Conn& c) {
   if (!s.uring) return;
   if (c.urecv_cancel) return;  // reconcile again when the cancel lands
@@ -1170,123 +1030,6 @@ void EventServerRuntime::uring_sync_conn_recv(Shard& s, Conn& c) {
   }
 }
 
-void EventServerRuntime::uring_send_bucket(Shard& s,
-                                           std::vector<UdpReply> bucket) {
-  if (!s.uring || !s.udp) {
-    // Shard lost its ring between post and run (teardown race): finish
-    // the replies synchronously so nothing leaks or stays pending.
-    for (auto& r : bucket) {
-      if (!s.udp ||
-          !s.udp->send_to(r.dst, ByteSpan(r.buf.data(), r.len)).is_ok()) {
-        ++stats_.reply_send_failures;
-      }
-      s.arena.recycle(std::move(r.buf));
-      pending_jobs_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-    return;
-  }
-  ShardUring& u = *s.uring;
-  net::Uring* ring = s.reactor.uring();
-  const std::size_t n = bucket.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    UdpReply& r = bucket[i];
-    std::size_t slot;
-    if (!u.free_slots.empty()) {
-      slot = u.free_slots.back();
-      u.free_slots.pop_back();
-    } else {
-      slot = u.sends.size();
-      u.sends.emplace_back();  // deque: existing slot addresses survive
-    }
-    ShardUring::SendOp& op = u.sends[slot];
-    op.addr = r.dst;
-    op.dst = addr_to_sockaddr(r.dst);
-    op.buf = std::move(r.buf);
-    op.len = r.len;
-    op.recv_ns = r.recv_ns;
-    op.iov.iov_base = op.buf.data();
-    op.iov.iov_len = op.len;
-    op.mh = msghdr{};
-    op.mh.msg_name = &op.dst;
-    op.mh.msg_namelen = sizeof(op.dst);
-    op.mh.msg_iov = &op.iov;
-    op.mh.msg_iovlen = 1;
-    // Linked chain: the bucket rides one submission like one sendmmsg;
-    // the last SQE is unlinked to close the chain.
-    if (!ring->prep_sendmsg(s.udp->fd(), &op.mh,
-                            net::uring_user_data(kTagUdpSend, slot),
-                            /*link=*/i + 1 < n)) {
-      ++stats_.reply_send_retries;
-      if (!s.udp->send_to(op.addr, ByteSpan(op.buf.data(), op.len)).is_ok()) {
-        ++stats_.reply_send_failures;
-      }
-      s.arena.recycle(std::move(op.buf));
-      op.buf = Bytes();
-      u.free_slots.push_back(slot);
-      pending_jobs_.fetch_sub(1, std::memory_order_acq_rel);
-      continue;
-    }
-    ++u.inflight_sends;
-  }
-}
-
-void EventServerRuntime::uring_drain_end(Shard& s) {
-  if (!s.uring) return;
-  ShardUring& u = *s.uring;
-  net::Uring* ring = s.reactor.uring();
-  if (!u.pending.empty()) {
-    // Push the whole drain's datagrams under ONE queue lock — the
-    // batching recvmmsg gave the epoll path, recovered at the CQ drain
-    // boundary.
-    const int n = static_cast<int>(u.pending.size());
-    ++stats_.udp_batches;
-    stats_.udp_datagrams += n;
-    Shard& t = job_queue_shard(s.index);
-    int accepted = 0;
-    {
-      std::lock_guard<std::mutex> lock(t.q_mu);
-      while (accepted < n && t.queue.size() < cfg_.queue_capacity) {
-        t.queue.push_back(
-            std::move(u.pending[static_cast<std::size_t>(accepted)]));
-        ++accepted;
-      }
-    }
-    if (accepted > 0) {
-      pending_jobs_.fetch_add(accepted, std::memory_order_acq_rel);
-      t.q_cv.notify_all();
-      // A burst is a backlog by construction: let siblings help.
-      if (accepted > 1 || t.home_workers == 0) wake_stealer(t.index);
-    }
-    if (accepted < n) {
-      stats_.overload_drops += n - accepted;
-      for (int i = accepted; i < n; ++i) {
-        s.arena.recycle(
-            std::move(u.pending[static_cast<std::size_t>(i)].payload));
-      }
-    }
-    u.pending.clear();
-  }
-  // Re-arm the UDP multishot if a terminal CQE took it down and intake
-  // is still open (after the refills above, so ENOBUFS cannot recur
-  // immediately).
-  if (s.udp && !u.udp_armed && !s.intake_closed &&
-      !reactor_stop_.load(std::memory_order_acquire)) {
-    if (u.udp_arm_errors > 3) {
-      // A burst of no-data terminal errors: decay one per drain so the
-      // retry runs at poll-timeout pace, not syscall-speed.
-      --u.udp_arm_errors;
-    } else if (ring->prep_recvmsg_multishot(
-                   s.udp->fd(), &u.udp_msg,
-                   net::uring_user_data(kTagUdpRecv, 0))) {
-      u.udp_armed = true;
-      u.armed_recvs.insert(net::uring_user_data(kTagUdpRecv, 0));
-    }
-  }
-  // Publish every buf_ring_add staged during this drain in one
-  // release-store; the SQEs above ride poll_once's single submit.
-  ring->buf_ring_commit();
-}
-
 void EventServerRuntime::uring_teardown(Shard& s) {
   if (!s.uring) return;
   ShardUring& u = *s.uring;
@@ -1301,13 +1044,11 @@ void EventServerRuntime::uring_teardown(Shard& s) {
   // before its buffers are touched.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
-  while ((!u.armed_recvs.empty() || u.inflight_sends > 0) &&
+  while (!u.armed_recvs.empty() &&
          std::chrono::steady_clock::now() < deadline) {
     s.reactor.poll_once(10);
   }
-  for (auto& j : u.pending) s.arena.recycle(std::move(j.payload));
-  u.pending.clear();
-  if (u.armed_recvs.empty() && u.inflight_sends == 0) {
+  if (u.armed_recvs.empty()) {
     for (auto& b : u.bufs) {
       if (b.empty()) continue;
       s.arena.unpin(b.size());
@@ -1326,12 +1067,8 @@ void EventServerRuntime::uring_teardown(Shard& s) {
       s.arena.unpin(b.size());
       sink->push_back(std::move(b));
     }
-    for (auto& op : u.sends) {
-      if (!op.buf.empty()) sink->push_back(std::move(op.buf));
-    }
   }
   u.bufs.clear();
-  u.sends.clear();
   s.uring.reset();
 }
 
@@ -1340,27 +1077,9 @@ void EventServerRuntime::uring_teardown(Shard& s) {
 void EventServerRuntime::setup_shard_uring(Shard&) {}
 void EventServerRuntime::on_uring_cqe(Shard&, std::uint64_t, std::int32_t,
                                       std::uint32_t) {}
-void EventServerRuntime::on_udp_recv_cqe(Shard&, std::int32_t,
-                                         std::uint32_t) {}
 void EventServerRuntime::on_tcp_recv_cqe(Shard&, std::uint64_t, std::int32_t,
                                          std::uint32_t) {}
-void EventServerRuntime::on_udp_send_cqe(Shard&, std::uint64_t,
-                                         std::int32_t) {}
 void EventServerRuntime::uring_sync_conn_recv(Shard&, Conn&) {}
-void EventServerRuntime::uring_send_bucket(Shard& s,
-                                           std::vector<UdpReply> bucket) {
-  // Unreachable without the uring backend (no shard ever has s.uring),
-  // but keep the replies accounted if it ever is.
-  for (auto& r : bucket) {
-    if (!s.udp ||
-        !s.udp->send_to(r.dst, ByteSpan(r.buf.data(), r.len)).is_ok()) {
-      ++stats_.reply_send_failures;
-    }
-    s.arena.recycle(std::move(r.buf));
-    pending_jobs_.fetch_sub(1, std::memory_order_acq_rel);
-  }
-}
-void EventServerRuntime::uring_drain_end(Shard&) {}
 void EventServerRuntime::uring_teardown(Shard&) {}
 
 #endif  // TEMPO_HAVE_URING
@@ -1369,30 +1088,42 @@ void EventServerRuntime::uring_teardown(Shard&) {}
 
 void EventServerRuntime::wake_stealer(std::size_t except) {
   const std::size_t nshards = shards_.size();
-  if (nshards < 2 || cfg_.shared_queue) return;
-  // Skip the pushing shard and any shard with no workers of its own
-  // (possible when cfg.workers < reactors): notifying a cv nobody
-  // waits on would leave the job to the 50ms fallback tick.
+  if (nshards < 2) return;
+  // Ring a parked worker of some other shard; busy siblings will find
+  // the backlog on their own next sweep, so they are never rung.
   std::size_t v = steal_wake_rr_.fetch_add(1, std::memory_order_relaxed) %
                   nshards;
   for (std::size_t k = 0; k < nshards; ++k, v = (v + 1) % nshards) {
-    if (v == except || shards_[v]->home_workers == 0) continue;
-    shards_[v]->q_cv.notify_one();
+    if (v == except) continue;
+    Shard& t = *shards_[v];
+    Worker* w = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(t.q_mu);
+      if (t.parked.empty()) continue;
+      w = t.parked.back();
+      t.parked.pop_back();
+    }
+    w->wait.ring();
     return;
   }
 }
 
-bool EventServerRuntime::push_job(std::size_t origin, Job& job) {
-  Shard& t = job_queue_shard(origin);
+bool EventServerRuntime::push_job(std::size_t origin, TcpRequestJob& job) {
+  Shard& t = *shards_[origin];
   std::size_t depth;
+  Worker* idle = nullptr;
   {
     std::lock_guard<std::mutex> lock(t.q_mu);
     if (t.queue.size() >= cfg_.queue_capacity) return false;
     t.queue.push_back(std::move(job));
     depth = t.queue.size();
+    if (!t.parked.empty()) {
+      idle = t.parked.back();
+      t.parked.pop_back();
+    }
   }
   pending_jobs_.fetch_add(1, std::memory_order_acq_rel);
-  t.q_cv.notify_one();
+  if (idle != nullptr) idle->wait.ring();
   // A backlog behind this shard's own workers (or a queue on a shard
   // that has none) is exactly what stealing exists for — wake a
   // sibling now instead of letting it find the work on its idle tick.
@@ -1400,37 +1131,7 @@ bool EventServerRuntime::push_job(std::size_t origin, Job& job) {
   return true;
 }
 
-int EventServerRuntime::push_datagram_jobs(Shard& s,
-                                           std::vector<net::Datagram>& batch,
-                                           int n, std::int64_t recv_ns) {
-  Shard& t = job_queue_shard(s.index);
-  int accepted = 0;
-  {
-    std::lock_guard<std::mutex> lock(t.q_mu);
-    while (accepted < n && t.queue.size() < cfg_.queue_capacity) {
-      auto& d = batch[static_cast<std::size_t>(accepted)];
-      t.queue.push_back(UdpDatagramJob{s.index, d.src, std::move(d.payload),
-                                       d.len, recv_ns});
-      ++accepted;
-    }
-  }
-  if (accepted > 0) {
-    pending_jobs_.fetch_add(accepted, std::memory_order_acq_rel);
-    t.q_cv.notify_all();
-    // A burst is a backlog by construction: let siblings help.
-    if (accepted > 1 || t.home_workers == 0) wake_stealer(t.index);
-  }
-  // Refill the moved-out slots from this shard's arena (buffers the
-  // workers finished with come back here) so the next recv_many
-  // neither allocates nor zero-fills in steady state.
-  for (int i = 0; i < accepted; ++i) {
-    batch[static_cast<std::size_t>(i)].payload =
-        s.arena.take(net::kMaxDatagramBytes);
-  }
-  return accepted;
-}
-
-bool EventServerRuntime::try_pop(std::size_t shard_idx, Job& out) {
+bool EventServerRuntime::try_pop(std::size_t shard_idx, TcpRequestJob& out) {
   Shard& s = *shards_[shard_idx];
   std::lock_guard<std::mutex> lock(s.q_mu);
   if (s.queue.empty()) return false;
@@ -1439,218 +1140,232 @@ bool EventServerRuntime::try_pop(std::size_t shard_idx, Job& out) {
   return true;
 }
 
-void EventServerRuntime::worker_loop(std::size_t home) {
+bool EventServerRuntime::pop_job(std::size_t home, TcpRequestJob& out,
+                                 bool tick_wakeup) {
+  if (try_pop(home, out)) return true;
+  // Home queue dry: sweep the siblings so capacity stranded by one hot
+  // connection (or a shard without workers) still gets used.
+  const std::size_t nshards = shards_.size();
+  for (std::size_t k = 1; k < nshards; ++k) {
+    if (try_pop((home + k) % nshards, out)) {
+      ++stats_.work_steals;
+      if (tick_wakeup) ++stats_.tick_steals;
+      return true;
+    }
+  }
+  return false;
+}
+
+bool EventServerRuntime::park(Shard& h, Worker& w, bool* stopping) {
+  std::lock_guard<std::mutex> lock(h.q_mu);
+  if (!h.queue.empty()) return false;
+  // Checked under the queue lock: stop() rings every worker after
+  // setting the flag, so a worker that parks here sees the ring.
+  if (workers_stop_.load(std::memory_order_acquire)) {
+    *stopping = true;
+    return false;
+  }
+  h.parked.push_back(&w);
+  return true;
+}
+
+void EventServerRuntime::unpark(Shard& h, Worker& w) {
+  // Still listed unless a push (or wake_stealer) popped it to ring it.
+  std::lock_guard<std::mutex> lock(h.q_mu);
+  auto it = std::find(h.parked.begin(), h.parked.end(), &w);
+  if (it != h.parked.end()) {
+    *it = h.parked.back();
+    h.parked.pop_back();
+  }
+}
+
+void EventServerRuntime::worker_loop(std::size_t home, Worker& w) {
   if (cfg_.pin_shards) pin_thread_to_cpu(home);
-  // Per-worker reply accumulator: datagram replies collect here and go
-  // out in one sendmmsg per originating shard when the queues run dry,
-  // a TCP job interleaves, or a full recvmmsg batch's worth has piled
-  // up.  Scheduling stays one-job-per-pop so a burst still fans out
-  // across the pool; only the SEND syscall is batched.
-  ReplyAccumulator acc;
-  acc.per_shard.resize(shards_.size());
   Shard& h = *shards_[home];
+  // The shard whose socket (and arena, and histograms) this worker's
+  // datagrams belong to: its home, or shard 0 when UDP is not sharded.
+  Shard* us = h.udp ? &h : (shards_[0]->udp ? shards_[0].get() : nullptr);
   // Small stable id for trace attribution (which thread served the
   // sampled request), distinct from `home` under stealing.
   const std::uint16_t worker_id = static_cast<std::uint16_t>(
       worker_seq_.fetch_add(1, std::memory_order_relaxed));
+  // The worker's own receive batch: arena slices that recvmmsg fills
+  // and the handlers decode in place, reused for the worker's lifetime
+  // — nothing on the datagram path allocates.  It starts small and
+  // doubles (up to udp_batch) each time a recvmmsg fills it, so a
+  // worker only holds the 64 KiB slices its traffic actually needs.
+  const std::size_t max_batch =
+      static_cast<std::size_t>(cfg_.udp_batch < 1 ? 1 : cfg_.udp_batch);
+  std::vector<net::Datagram> batch;
+  std::vector<UdpReply> replies;
+  const auto grow_batch = [&](std::size_t want) {
+    while (batch.size() < std::min(want, max_batch)) {
+      batch.push_back(net::Datagram{});
+      batch.back().payload = us->arena.take(net::kMaxDatagramBytes);
+    }
+    replies.reserve(batch.size());
+  };
+  if (us != nullptr) grow_batch(4);
   // Stream-reply encode scratch, taken lazily on the first TCP job and
   // held for the worker's lifetime (see serve_tcp_request).
   Bytes stream_scratch;
-  const std::size_t nshards = shards_.size();
-  // Stealing is pointless under shared_queue (every queue but 0 stays
-  // empty) and with a single shard.
-  const bool can_steal = nshards > 1 && !cfg_.shared_queue;
-  // Set when the last cv wait expired without a notify: a steal found
+  // Stealing needs siblings; the tick is its safety net.
+  const int tick = shards_.size() < 2        ? -1
+                   : cfg_.steal_tick_ms < 1 ? 50
+                                            : cfg_.steal_tick_ms;
+  // Set when the last wait expired with nothing fired: a steal found
   // right after it means the periodic tick, not a wakeup, rescued the
   // job (stats().tick_steals — meant to stay at zero).
   bool tick_wakeup = false;
+  // Try the socket on the first pass; afterwards only when the wait set
+  // reported it readable or the last batch came back full.
+  bool udp_ready = us != nullptr;
   for (;;) {
-    Job job{UdpDatagramJob{}};
-    bool have = try_pop(home, job);
-    if (!have && can_steal) {
-      // Home queue dry: sweep the siblings so capacity stranded by a
-      // skewed flow hash (or one hot connection) still gets used.
-      for (std::size_t k = 1; k < nshards && !have; ++k) {
-        have = try_pop((home + k) % nshards, job);
-        if (have) {
-          ++stats_.work_steals;
-          if (tick_wakeup) ++stats_.tick_steals;
-        }
-      }
-    }
-    tick_wakeup = false;
-    if (!have) {
-      if (acc.total > 0) {
-        // Unflushed replies and (momentarily) empty queues: flush now
-        // rather than sit on them — this bounds added reply latency to
-        // one handler execution.
-        flush_udp_replies(acc);
-        continue;
-      }
-      std::unique_lock<std::mutex> lock(h.q_mu);
-      if (h.queue.empty()) {
-        if (workers_stop_.load(std::memory_order_acquire)) {
-          lock.unlock();
-          h.arena.recycle(std::move(stream_scratch));
-          return;
-        }
-        if (can_steal) {
-          // Sibling backlogs signal this cv through wake_stealer; the
-          // timeout is only a fallback for a wakeup that raced the
-          // wait, so idle workers cost ~1000/tick wakeups/s, not 1000.
-          const int tick = cfg_.steal_tick_ms < 1 ? 50 : cfg_.steal_tick_ms;
-          if (h.q_cv.wait_for(lock, std::chrono::milliseconds(tick)) ==
-              std::cv_status::timeout) {
-            tick_wakeup = true;
-          }
-        } else {
-          // Open-coded predicate wait (not the lambda overload): the
-          // thread-safety analysis treats a lambda as its own function,
-          // so a predicate reading the GUARDED_BY queue would warn even
-          // inside this no_thread_safety_analysis function.
-          while (h.queue.empty() &&
-                 !workers_stop_.load(std::memory_order_acquire)) {
-            h.q_cv.wait(lock);
-          }
-        }
-      }
+    TcpRequestJob job;
+    if (pop_job(home, job, tick_wakeup)) {
+      tick_wakeup = false;
+      serve_tcp_request(job, stream_scratch, h.arena, worker_id);
       continue;
     }
-    if (auto* d = std::get_if<UdpDatagramJob>(&job)) {
-      serve_udp_datagram(*d, acc, worker_id);
-      if (acc.total >= static_cast<std::size_t>(
-                           cfg_.udp_batch < 1 ? 1 : cfg_.udp_batch)) {
-        flush_udp_replies(acc);
-      }
-    } else if (auto* t = std::get_if<TcpRequestJob>(&job)) {
-      flush_udp_replies(acc);  // don't hold replies across a TCP call
-      serve_tcp_request(*t, stream_scratch, h.arena, worker_id);
+    tick_wakeup = false;
+    // The exit path below drains the socket under stop()'s deadline.
+    if (workers_stop_.load(std::memory_order_acquire)) break;
+    if (udp_ready) {
+      // While a sibling watching the same socket is parked, take one
+      // datagram: the kernel wakes that sibling for the next one, so
+      // datagrams that arrive together are served in parallel rather
+      // than one after another in this worker's batch.  Batches form
+      // only when every worker is busy — that is, behind a backlog.
+      const bool siblings_idle =
+          us->udp_waiters.load(std::memory_order_relaxed) > 0;
+      const int max = siblings_idle ? 1 : static_cast<int>(batch.size());
+      const int n = serve_udp_batch(*us, batch, max, replies, worker_id);
+      // A full batch: more is likely waiting, and a bigger batch would
+      // have taken it in the same syscall.
+      udp_ready = !siblings_idle && n == max;
+      if (udp_ready) grow_batch(2 * batch.size());
+      if (n > 0) continue;
+    }
+    bool stopping = false;
+    if (!park(h, w, &stopping)) {
+      if (stopping) break;
+      continue;
+    }
+    if (us != nullptr) us->udp_waiters.fetch_add(1, std::memory_order_relaxed);
+    const unsigned fired = w.wait.wait(tick);
+    if (us != nullptr) us->udp_waiters.fetch_sub(1, std::memory_order_relaxed);
+    unpark(h, w);
+    udp_ready = (fired & net::WaitSet::kReadable) != 0;
+    tick_wakeup = fired == 0;
+  }
+  // stop(): serve what the socket already holds, until the deadline.
+  if (us != nullptr) {
+    while (std::chrono::steady_clock::now() < drain_deadline_ &&
+           serve_udp_batch(*us, batch, static_cast<int>(batch.size()),
+                           replies, worker_id) > 0) {
+    }
+    for (auto& d : batch) us->arena.recycle(std::move(d.payload));
+  }
+  h.arena.recycle(std::move(stream_scratch));
+}
+
+int EventServerRuntime::serve_udp_batch(Shard& us,
+                                        std::vector<net::Datagram>& batch,
+                                        int max, std::vector<UdpReply>& replies,
+                                        std::uint16_t worker_id) {
+  const int n = us.udp->recv_many(batch, max);
+  if (n <= 0) return 0;
+  ++stats_.udp_batches;
+  stats_.udp_datagrams += n;
+  // One clock read per recvmmsg, shared by every datagram of the batch.
+  const std::int64_t recv_ns = metrics_on_ ? common::monotonic_ns() : 0;
+  for (int i = 0; i < n; ++i) {
+    const net::Datagram& d = batch[static_cast<std::size_t>(i)];
+    // Zero-copy dispatch: arguments decode in place from the worker's
+    // own receive slice and the reply encodes straight into an arena
+    // slice — no scratch memset/memcpy on either side of the hot path.
+    // For UDP the "queue" wait is the time this datagram spent behind
+    // the earlier ones of its own batch.
+    const std::int64_t pop_ns = metrics_on_ ? common::monotonic_ns() : 0;
+    const std::int64_t queue_wait = metrics_on_ ? pop_ns - recv_ns : 0;
+    if (metrics_on_) us.queue_hist.record(queue_wait);
+    bool traced = false;
+    if (tracer_ && tracer_->should_sample()) {
+      const std::uint32_t xid = d.len >= 4 ? load_be32(d.payload.data()) : 0;
+      tracer_->begin(xid, static_cast<std::uint16_t>(us.index), worker_id,
+                     queue_wait);
+      traced = true;
+    }
+    // Clamp at the UDP payload ceiling: letting a reply encode past what
+    // a datagram can physically carry would trade an immediate
+    // GARBAGE_ARGS error reply for a silent EMSGSIZE drop and a client
+    // timeout.
+    const std::size_t cap =
+        std::min(reply_capacity(d.len), net::kMaxUdpPayloadBytes);
+    Bytes out = us.arena.take(cap);
+    const std::size_t len =
+        registry_.handle_request(ByteSpan(d.payload.data(), d.len),
+                                 MutableByteSpan(out.data(), cap));
+    if (metrics_on_) us.handle_hist.record(common::monotonic_ns() - pop_ns);
+    if (len == 0) {
+      us.arena.recycle(std::move(out));
+    } else {
+      replies.push_back(UdpReply{d.src, std::move(out), len, recv_ns});
+    }
+    if (traced) {
+      // The sendmmsg below is batched; this flush stage covers handing
+      // the reply to the accumulator.
+      common::trace_mark(common::TraceStage::kFlush);
+      common::trace_end();
     }
   }
+  flush_udp_replies(us, replies);
+  return n;
 }
 
-void EventServerRuntime::serve_udp_datagram(UdpDatagramJob& job,
-                                            ReplyAccumulator& acc,
-                                            std::uint16_t worker_id) {
-  // Zero-copy dispatch: the worker exclusively owns the arena payload,
-  // so arguments decode in place and the reply encodes straight into
-  // another arena slice — no scratch memset/memcpy on either side of
-  // the hot path.  pending_jobs_ is decremented when the reply actually
-  // flushes so stop()'s drain covers the accumulator too.
-  Shard& origin = *shards_[job.shard];
-  common::BufferArena& arena = origin.arena;
-  // Histograms attribute to the ORIGIN shard even when a stealing
-  // worker serves the job: latency follows the traffic.
-  const std::int64_t pop_ns = metrics_on_ ? common::monotonic_ns() : 0;
-  const std::int64_t queue_wait =
-      (metrics_on_ && job.recv_ns > 0) ? pop_ns - job.recv_ns : 0;
-  if (metrics_on_ && job.recv_ns > 0) origin.queue_hist.record(queue_wait);
-  bool traced = false;
-  if (tracer_ && tracer_->should_sample()) {
-    const std::uint32_t xid =
-        job.len >= 4 ? load_be32(job.payload.data() + job.off) : 0;
-    tracer_->begin(xid, static_cast<std::uint16_t>(job.shard), worker_id,
-                   queue_wait);
-    traced = true;
-  }
-  // Clamp at the UDP payload ceiling: letting a reply encode past what
-  // a datagram can physically carry would trade an immediate
-  // GARBAGE_ARGS error reply for a silent EMSGSIZE drop and a client
-  // timeout.
-  const std::size_t cap =
-      std::min(reply_capacity(job.len), net::kMaxUdpPayloadBytes);
-  Bytes out = arena.take(cap);
-  const std::size_t n =
-      registry_.handle_request(ByteSpan(job.payload.data() + job.off, job.len),
-                               MutableByteSpan(out.data(), cap));
-  arena.recycle(std::move(job.payload));
-  if (metrics_on_) origin.handle_hist.record(common::monotonic_ns() - pop_ns);
-  if (n == 0) {
-    if (traced) common::trace_end();
-    arena.recycle(std::move(out));
-    pending_jobs_.fetch_sub(1, std::memory_order_acq_rel);
-    return;
-  }
-  acc.per_shard[job.shard].push_back(
-      UdpReply{job.src, std::move(out), n, job.recv_ns});
-  ++acc.total;
-  if (traced) {
-    // The actual sendmmsg is batched later; this flush stage covers
-    // handing the reply to the accumulator.
-    common::trace_mark(common::TraceStage::kFlush);
-    common::trace_end();
-  }
-}
-
-void EventServerRuntime::flush_udp_replies(ReplyAccumulator& acc) {
-  if (acc.total == 0) return;
+void EventServerRuntime::flush_udp_replies(Shard& us,
+                                           std::vector<UdpReply>& replies) {
+  if (replies.empty()) return;
   // Reused per worker thread: the flush path, like the receive path,
   // must not allocate in steady state.
   thread_local std::vector<net::OutDatagram> msgs;
-  for (std::size_t si = 0; si < acc.per_shard.size(); ++si) {
-    auto& bucket = acc.per_shard[si];
-    if (bucket.empty()) continue;
-    Shard* shard = shards_[si].get();
-    if (shard->uring) {
-      // uring shard: hand the whole bucket to the owning reactor, which
-      // turns it into one linked SQE chain (the sendmmsg analogue).
-      // The e2e stamp, buffer recycle, and pending_jobs_ decrement all
-      // happen per send CQE, so stop()'s drain covers in-flight SQEs.
-      ++stats_.udp_reply_batches;
-      shard->reactor.post([this, shard, b = std::move(bucket)]() mutable {
-        uring_send_bucket(*shard, std::move(b));
-      });
-      bucket.clear();
-      continue;
+  const int total = static_cast<int>(replies.size());
+  msgs.resize(replies.size());
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    msgs[i].dst = replies[i].dst;
+    msgs[i].payload = ByteSpan(replies[i].buf.data(), replies[i].len);
+  }
+  ++stats_.udp_reply_batches;
+  const int sent = us.udp->send_many(msgs.data(), total);
+  if (sent > 0 && metrics_on_) {
+    // One clock read per flush covers the whole sent prefix; e2e is
+    // recorded only for replies that actually left (the stress books
+    // equate histogram totals with successful sends).
+    const std::int64_t now = common::monotonic_ns();
+    for (int i = 0; i < sent; ++i) {
+      const auto& r = replies[static_cast<std::size_t>(i)];
+      if (r.recv_ns > 0) us.udp_e2e_hist.record(now - r.recv_ns);
     }
-    const int total = static_cast<int>(bucket.size());
-    msgs.resize(bucket.size());
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      msgs[i].dst = bucket[i].dst;
-      msgs[i].payload = ByteSpan(bucket[i].buf.data(), bucket[i].len);
-    }
-    ++stats_.udp_reply_batches;
-    const int sent = shard->udp->send_many(msgs.data(), total);
-    if (sent > 0 && metrics_on_) {
-      // One clock read per flush covers the whole sent prefix; e2e is
-      // recorded only for replies that actually left (the stress books
-      // equate histogram totals with successful sends).
-      const std::int64_t now = common::monotonic_ns();
-      for (int i = 0; i < sent; ++i) {
-        const auto& r = bucket[static_cast<std::size_t>(i)];
-        if (r.recv_ns > 0) shard->udp_e2e_hist.record(now - r.recv_ns);
+  }
+  if (sent < total) {
+    // The kernel refused the tail (EWOULDBLOCK on the non-blocking
+    // socket, ENOBUFS, ...).  Wait briefly for send-buffer space, then
+    // retry each reply once instead of dropping silently; what is still
+    // refused is counted.
+    stats_.reply_send_retries += total - sent;
+    (void)us.udp->wait_writable(kReplyRetryWaitMs);
+    for (int i = sent; i < total; ++i) {
+      const auto& r = replies[static_cast<std::size_t>(i)];
+      if (!us.udp->send_to(r.dst, ByteSpan(r.buf.data(), r.len)).is_ok()) {
+        ++stats_.reply_send_failures;
+      } else if (r.recv_ns > 0) {
+        // recv_ns > 0 implies metrics were on when it was stamped.
+        us.udp_e2e_hist.record(common::monotonic_ns() - r.recv_ns);
       }
     }
-    if (sent < total) {
-      // The kernel refused the tail (EWOULDBLOCK on the non-blocking
-      // socket, ENOBUFS, ...).  Retry once on the owning shard's
-      // reactor thread instead of dropping silently; what it still
-      // refuses is counted.
-      stats_.reply_send_retries += total - sent;
-      std::vector<UdpReply> tail(
-          std::make_move_iterator(bucket.begin() + sent),
-          std::make_move_iterator(bucket.end()));
-      shard->reactor.post([this, shard, tail = std::move(tail)]() mutable {
-        for (auto& r : tail) {
-          if (!shard->udp->send_to(r.dst, ByteSpan(r.buf.data(), r.len))
-                   .is_ok()) {
-            ++stats_.reply_send_failures;
-          } else if (r.recv_ns > 0) {
-            // recv_ns > 0 implies metrics were on when it was stamped.
-            shard->udp_e2e_hist.record(common::monotonic_ns() - r.recv_ns);
-          }
-          shard->arena.recycle(std::move(r.buf));
-        }
-      });
-    }
-    for (int i = 0; i < sent; ++i) {
-      shard->arena.recycle(
-          std::move(bucket[static_cast<std::size_t>(i)].buf));
-    }
-    pending_jobs_.fetch_sub(total, std::memory_order_acq_rel);
-    bucket.clear();
   }
-  acc.total = 0;
+  for (auto& r : replies) us.arena.recycle(std::move(r.buf));
+  replies.clear();
 }
 
 void EventServerRuntime::serve_tcp_request(TcpRequestJob& job, Bytes& scratch,
@@ -1723,27 +1438,6 @@ void EventServerRuntime::serve_tcp_request(TcpRequestJob& job, Bytes& scratch,
     common::trace_mark(common::TraceStage::kFlush);
     common::trace_end();
   }
-}
-
-std::vector<net::Datagram> EventServerRuntime::take_batch_buffer(Shard& s) {
-  if (s.batch_pool.empty()) {
-    // Cold batch: pre-fill every slot from the arena so recv_many
-    // never allocates its own kMaxDatagramBytes payloads — those are
-    // off-class (65000 is not a power of two) and would demote to the
-    // 32 KiB class on recycle instead of serving later payload takes.
-    std::vector<net::Datagram> buf(
-        static_cast<std::size_t>(cfg_.udp_batch < 1 ? 1 : cfg_.udp_batch));
-    for (auto& d : buf) d.payload = s.arena.take(net::kMaxDatagramBytes);
-    return buf;
-  }
-  auto buf = std::move(s.batch_pool.back());
-  s.batch_pool.pop_back();
-  return buf;
-}
-
-void EventServerRuntime::recycle_batch_buffer(Shard& s,
-                                              std::vector<net::Datagram> buf) {
-  if (s.batch_pool.size() < 4) s.batch_pool.push_back(std::move(buf));
 }
 
 }  // namespace tempo::rpc

@@ -2,27 +2,33 @@
 //
 // ServerRuntime (svc.h) burns one blocking thread per listener and
 // parks a whole worker on each TCP connection, so a peer that trickles
-// bytes pins a worker for its connection's lifetime.  This runtime puts
-// every socket behind net::Reactor shards instead, and keeps a
-// request's whole life — recv, decode, specialize-lookup, execute,
-// reply — on one shard:
+// bytes pins a worker for its connection's lifetime.  This runtime
+// splits the two transports by what they need:
 //
-//   * N reactor shards (cfg.reactors), each with its OWN event loop
-//     thread, its own SO_REUSEPORT-bound UDP socket (the kernel
-//     disperses inbound datagrams across the group by flow hash), its
-//     own partition of the accepted TCP connections, its own
-//     common::BufferArena feeding every request/reply buffer, AND its
-//     own worker pool (cfg.workers_per_shard) with its own bounded job
-//     queue — the per-request path crosses no global lock.  Idle
-//     workers steal from sibling shards' queues so a skewed flow-hash
-//     dispersal cannot strand capacity (stats().work_steals counts);
-//     cfg.shared_queue collapses all queues onto shard 0 for A/B
-//     comparison against the PR 4 single-shared-queue shape;
-//   * every UDP socket is non-blocking and drained in recvmmsg batches —
-//     one syscall per burst, not per datagram — and replies flush back
-//     out through per-worker, per-shard accumulators and sendmmsg
-//     (UdpSocket::send_many) on the shard that received the request, so
-//     a burst pairs one syscall per batch in BOTH directions;
+//   * UDP never touches a reactor.  Each worker parks in its own
+//     net::WaitSet (an epoll set holding its shard's UDP socket,
+//     registered EPOLLEXCLUSIVE so one datagram wakes one worker, plus
+//     a doorbell for the shard's TCP job queue).  The worker that wakes
+//     receives with one recvmmsg (a single datagram while a sibling on
+//     the same socket is parked, so datagrams arriving together spread
+//     over the idle workers; everything pending, up to udp_batch, once
+//     all are busy), serves each datagram in place from its own receive
+//     batch, and sends the replies with one sendmmsg — receive, serve
+//     and answer on one thread, the shape of the classic svc_run loop,
+//     with no cross-thread handoff.  The kernel socket buffer is the
+//     UDP backlog; what the kernel drops there is counted in
+//     stats().overload_drops;
+//   * TCP lives on N reactor shards (cfg.reactors), each with its OWN
+//     event loop thread, its own partition of the accepted connections,
+//     its own common::BufferArena feeding every request/reply buffer,
+//     AND its own worker pool (cfg.workers_per_shard) with its own
+//     bounded job queue — the per-request path crosses no global lock.
+//     Idle workers steal TCP jobs from sibling shards' queues so a hot
+//     connection cannot strand capacity (stats().work_steals counts);
+//   * every shard that has workers binds its own SO_REUSEPORT UDP
+//     socket (the kernel disperses inbound datagrams across the group
+//     by flow hash); a shard without workers binds none, so no datagram
+//     can land where nobody reads;
 //   * the TCP listener lives on shard 0; an accepted connection is
 //     handed round-robin to its owning shard by posting the socket to
 //     that shard's reactor, which wraps and owns it from then on.  Each
@@ -51,22 +57,23 @@
 // reactor thread exclusively owns that shard's connection state;
 // workers only ever own a request's buffer plus the (shard, conn_id,
 // seq) triple naming its origin; handoff back is by that shard's
-// Reactor::post().  Buffers recycle into the origin shard's arena from
-// whichever thread finishes with them (the arena is the one
+// Reactor::post().  A worker owns its UDP receive batch and reply
+// accumulator outright.  Buffers recycle into the origin shard's arena
+// from whichever thread finishes with them (the arena is the one
 // cross-thread-safe piece, one mutex per size class).  Stats are
 // process-wide atomics every shard adds into, so stats() aggregates
 // across shards by construction.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
-#include <variant>
+#include <utility>
 #include <vector>
 
 #include "common/arena.h"
@@ -76,6 +83,7 @@
 #include "net/reactor.h"
 #include "net/tcp.h"
 #include "net/udp.h"
+#include "net/waitset.h"
 #include "rpc/svc.h"
 
 namespace tempo::rpc {
@@ -91,20 +99,16 @@ enum class EventBackend { kAuto, kEpoll, kPoll, kUring };
 struct EventServerRuntimeConfig {
   // Total workers across all shards, split as evenly as possible
   // (remainder to the low shards; with workers < reactors the high
-  // shards get none and their queues drain through stealing siblings).
-  // Ignored when workers_per_shard is set.
+  // shards get none, bind no UDP socket, and their TCP queues drain
+  // through stealing siblings).  Ignored when workers_per_shard is set.
   int workers = 4;
   // Exact worker count PER SHARD; 0 derives it from `workers`.
   int workers_per_shard = 0;
   // Reactor shards.  Each shard runs its own event loop thread with its
-  // own SO_REUSEPORT UDP socket, its own slice of the TCP connections,
-  // its own worker pool + job queue and its own buffer arena; 1 keeps
-  // the single-loop behaviour of PR 2/3.
+  // own slice of the TCP connections, its own worker pool + TCP job
+  // queue, its own buffer arena and (when it has workers) its own
+  // SO_REUSEPORT UDP socket; 1 keeps a single loop.
   int reactors = 1;
-  // A/B knob: route every job through shard 0's queue (the PR 4 shape —
-  // one shared queue serving all shards) instead of shard-local queues.
-  // Workers all home on shard 0; the bench compares the two.
-  bool shared_queue = false;
   // Requests of ONE TCP connection allowed in flight concurrently; the
   // per-connection reply ring keeps wire order.  1 restores strictly
   // serial per-connection execution.
@@ -113,10 +117,11 @@ struct EventServerRuntimeConfig {
   std::uint16_t tcp_port = 0;
   bool enable_udp = true;
   bool enable_tcp = true;
-  // Capacity of EACH shard's job queue (of the one shared queue under
-  // shared_queue).
+  // Capacity of EACH shard's TCP job queue (UDP is served where it is
+  // received; its backlog is the socket's receive buffer).
   std::size_t queue_capacity = 1024;
-  // Datagrams pulled per recvmmsg syscall.
+  // Datagrams a worker pulls per recvmmsg syscall (and so at most one
+  // sendmmsg's worth of replies).
   int udp_batch = 32;
   // Per-connection caps; a peer exceeding either is reset.
   std::size_t max_record_bytes = 1u << 20;
@@ -135,8 +140,8 @@ struct EventServerRuntimeConfig {
   // shard; off by default.
   bool sqpoll = false;
   // uring only: provided-buffer ring slots per shard (rounded to a
-  // power of two).  Each slot holds one arena slice of the datagram
-  // size class, shared by UDP and TCP multishot receives.
+  // power of two) feeding the TCP multishot receives.  Each slot holds
+  // one 64 KiB arena slice; no ring is registered with TCP disabled.
   int uring_buffers = 64;
   // Pin each shard's reactor thread and its home workers to CPU
   // (shard_index % hardware_concurrency).  Keeps a request's cache
@@ -144,16 +149,12 @@ struct EventServerRuntimeConfig {
   // on oversubscribed hosts.
   bool pin_shards = false;
   // Idle workers re-sweep sibling queues after this many ms even
-  // without a wakeup.  Stealing is wakeup-driven (push paths notify a
-  // sibling); the tick is only the safety net, and stats().tick_steals
-  // counts how often it actually rescued a job.
+  // without a wakeup.  Stealing is wakeup-driven (push paths ring a
+  // parked sibling); the tick is only the safety net, and
+  // stats().tick_steals counts how often it actually rescued a job.
   int steal_tick_ms = 50;
-  // Test hook: exercise the portable poll(2) backend on Linux too.
-  // Equivalent to backend = kPoll (kept for older call sites; wins
-  // over `backend` when set).
-  bool force_poll_backend = false;
-  // stop() waits this long for queued work to finish before tearing
-  // down the pool.
+  // stop() waits this long for queued TCP work, and then for the
+  // datagrams already in the UDP sockets, before tearing down the pool.
   int drain_timeout_ms = 2000;
   // Request-stage tracing: trace 1 in trace_sample requests (0 = off;
   // falls back to the TEMPO_TRACE_SAMPLE env var when 0) into
@@ -168,25 +169,34 @@ struct EventServerRuntimeStats {
   std::atomic<std::int64_t> udp_batches{0};  // recv_many calls that got >0
   std::atomic<std::int64_t> udp_reply_batches{0};  // send_many flushes
   // Replies the kernel refused on first send (EWOULDBLOCK on the
-  // non-blocking socket, ENOBUFS, ...), handed to the reactor for one
-  // retry — and the ones still refused there, which are dropped.
+  // non-blocking socket, ENOBUFS, ...), which the serving worker retries
+  // once after waiting briefly for socket space — and the ones still
+  // refused then, which are dropped.
   std::atomic<std::int64_t> reply_send_retries{0};
   std::atomic<std::int64_t> reply_send_failures{0};
   std::atomic<std::int64_t> tcp_connections{0};
   std::atomic<std::int64_t> tcp_calls{0};
-  std::atomic<std::int64_t> overload_drops{0};  // queue-full datagram drops
+  // Requests dropped unserved: datagrams the kernel dropped because a
+  // UDP socket's receive buffer (the UDP backlog) was full, datagrams
+  // stop() found unread past its drain deadline, and TCP jobs still
+  // queued at that deadline.
+  std::atomic<std::int64_t> overload_drops{0};
   std::atomic<std::int64_t> conn_resets{0};  // peers cut off at a cap
   // Times a connection flush left bytes buffered because the socket
   // stopped accepting (the peer is not reading fast enough).  Grows
   // while a reply sits in out_buf waiting for writability; a reset at
   // max_write_buffer is the cap this stall accounting leads up to.
   std::atomic<std::int64_t> write_stalls{0};
-  // Jobs an idle worker popped from a SIBLING shard's queue.  Zero when
-  // inbound load spreads evenly; growth means the flow hash (or a hot
-  // connection) is skewing work onto fewer shards than exist.
+  // Times a complete TCP record found its shard's job queue full: the
+  // connection is parked on the reactor's stalled list and its records
+  // are re-dispatched as the queue drains.
+  std::atomic<std::int64_t> dispatch_stalls{0};
+  // TCP jobs an idle worker popped from a SIBLING shard's queue.  Zero
+  // when inbound load spreads evenly; growth means a hot connection (or
+  // a shard without workers) is skewing work onto fewer shards.
   std::atomic<std::int64_t> work_steals{0};
   // Of those, steals found only by the periodic steal_tick_ms re-sweep
-  // (the worker's wait timed out; nobody woke it).  Nonzero means a
+  // (the worker's wait timed out; nobody rang it).  Nonzero means a
   // push path failed to wake a stealer — the tick is meant to be a
   // safety net, not the delivery mechanism.
   std::atomic<std::int64_t> tick_steals{0};
@@ -205,14 +215,21 @@ class EventServerRuntime {
   // spawns the reactor threads + per-shard worker pools.  Call after
   // all register_proc calls.
   Status start();
-  // Stops intake on every shard, drains queued requests (bounded by
-  // drain_timeout_ms), then joins everything.  Idempotent.
+  // Stops TCP intake on every shard, drains queued requests and the
+  // datagrams already in the UDP sockets (bounded by drain_timeout_ms;
+  // what is left is counted in overload_drops), then joins everything.
+  // Idempotent.
   void stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
   net::Addr udp_addr() const;
   net::Addr tcp_addr() const;
-  const EventServerRuntimeStats& stats() const { return stats_; }
+  // Folds the kernel's UDP receive-buffer drops into overload_drops
+  // first, so the counters are current as of the call.
+  const EventServerRuntimeStats& stats() const {
+    fold_kernel_drops();
+    return stats_;
+  }
   // Aggregate of every shard arena (valid between start() and stop()).
   // `misses` is the runtimes' `arena_misses`: takes the pool could not
   // serve and had to send to the allocator.
@@ -229,8 +246,9 @@ class EventServerRuntime {
   int reactor_count() const { return static_cast<int>(shards_.size()); }
   // Worker threads actually running across all shards.
   int worker_count() const { return worker_count_; }
-  // True when every shard owns its own SO_REUSEPORT UDP socket; false
-  // in the single-receiving-socket fallback (or with reactors == 1).
+  // True when UDP is received on an SO_REUSEPORT group — one socket per
+  // shard that has workers; false with a single receiving socket (one
+  // shard with workers, or the fallback where the group cannot bind).
   bool udp_sharded() const { return udp_sharded_; }
 
   // Per-shard latency distributions merged across shards (valid
@@ -310,43 +328,25 @@ class EventServerRuntime {
     bool urecv_cancel = false;
   };
 
-  // One datagram per job: the recvmmsg batch amortizes the syscall, but
-  // each request schedules on its own worker so a batch never serializes
-  // behind one thread.  The payload buffer is an arena buffer with
-  // `len` valid bytes; the worker recycles it into the origin shard's
-  // arena, so the receive path neither allocates nor zero-fills in
-  // steady state.  `shard` names the socket the datagram arrived on —
-  // the reply goes back out through that shard's socket (and its
-  // reactor on retry).
-  struct UdpDatagramJob {
-    std::size_t shard = 0;
-    net::Addr src;
-    Bytes payload;
-    std::size_t len = 0;
-    // Stamped once per recvmmsg batch (shared by the whole batch, so
-    // the receive path pays one clock read per syscall, not per
-    // datagram); 0 with metrics off.
-    std::int64_t recv_ns = 0;
-    // Payload starts at payload.data() + off: zero for the recvmmsg
-    // path, the io_uring_recvmsg_out header size for uring multishot
-    // completions (the datagram stays in the buffer the kernel filled;
-    // nothing is memmoved).
-    std::size_t off = 0;
-  };
   struct TcpRequestJob {
     std::size_t shard = 0;
     std::uint64_t conn_id = 0;
     std::uint64_t seq = 0;  // this request's slot in the conn's ring
     Chunk record;
   };
-  using Job = std::variant<UdpDatagramJob, TcpRequestJob>;
 
   // uring-backend state of one shard (defined in the .cpp; present only
-  // on shards whose reactor actually runs the uring backend): the
-  // provided-buffer ring's arena slices, the persistent multishot
-  // recvmsg header, the in-flight linked-send slots, and the batch
-  // accumulators the CQE drain hook flushes.
+  // on shards whose reactor actually runs the uring backend with TCP
+  // enabled): the provided-buffer ring's arena slices and the armed
+  // multishot receives.
   struct ShardUring;
+
+  // One worker thread and the place it parks: its WaitSet watches the
+  // UDP socket it serves and carries the doorbell a TCP push rings.
+  struct Worker {
+    net::WaitSet wait;
+    std::thread thread;
+  };
 
   // One reactor shard: an event loop thread plus everything it
   // exclusively owns, and its slice of the execution pipeline (worker
@@ -360,15 +360,18 @@ class EventServerRuntime {
     std::size_t index;
     net::Reactor reactor;
     std::unique_ptr<ShardUring> uring;  // null unless backend() == uring
-    std::unique_ptr<net::UdpSocket> udp;  // null on non-receiving shards
+    // Read by this shard's workers only (never by the reactor); null on
+    // shards without workers, and on every shard but 0 when UDP is not
+    // sharded.
+    std::unique_ptr<net::UdpSocket> udp;
+    // Workers blocked in a WaitSet that watches `udp` (counted from
+    // before the wait until the woken worker runs again).
+    std::atomic<int> udp_waiters{0};
     std::unordered_map<std::uint64_t, Conn> conns;
     std::uint64_t next_conn_id = 1;  // ids are per-shard; (shard, id) is
                                      // the global connection name
     bool intake_closed = false;
     std::vector<std::uint64_t> stalled_conns;
-    // recvmmsg batch buffers, reused across on_udp_readable calls;
-    // reactor-thread-only, so no lock.
-    std::vector<std::vector<net::Datagram>> batch_pool;
     // Every request/reply buffer this shard hands out; recycled from
     // whichever thread finishes with a buffer (thread-safe).
     common::BufferArena arena;
@@ -380,47 +383,32 @@ class EventServerRuntime {
     common::LatencyHistogram handle_hist;
     common::LatencyHistogram udp_e2e_hist;
     common::LatencyHistogram tcp_e2e_hist;
-    // ---- shard-local execution pipeline ----
+    // ---- shard-local execution pipeline (TCP jobs) ----
     std::mutex q_mu;
-    std::condition_variable q_cv;
-    std::deque<Job> queue TEMPO_GUARDED_BY(q_mu);
+    std::deque<TcpRequestJob> queue TEMPO_GUARDED_BY(q_mu);
+    // Home workers blocked in their WaitSet.  A push pops one and rings
+    // its doorbell; nobody rings a worker that is not parked, so a busy
+    // worker takes jobs with no syscall.
+    std::vector<Worker*> parked TEMPO_GUARDED_BY(q_mu);
     // Workers homed on this shard's queue.  home_workers mirrors the
-    // count and is written once in start() BEFORE any thread runs:
-    // push paths read it while stop() tears the vector down, so they
-    // must never touch `workers` itself.
-    std::vector<std::thread> workers;
+    // count and is written once in start() BEFORE any thread runs.
+    std::vector<std::unique_ptr<Worker>> workers;
     int home_workers = 0;
     std::thread thread;
   };
 
-  // Wakes one worker of a SIBLING shard so a backlog (or a queue on a
-  // worker-less shard) gets stolen promptly instead of waiting for the
-  // idle-tick fallback.
-  void wake_stealer(std::size_t except);
-
   // One encoded-but-unsent UDP reply in a worker's accumulator: `buf`
-  // is an arena buffer with `len` valid bytes.  Accumulated replies
-  // flush through UdpSocket::send_many so a served burst costs one
-  // sendmmsg, pairing with the recvmmsg receive path.  Accumulators are
-  // kept per shard so each flush goes out the right socket (work
-  // stealing means a worker can hold replies for several shards).
+  // is an arena buffer with `len` valid bytes.  A served recvmmsg batch
+  // flushes through one UdpSocket::send_many.
   struct UdpReply {
     net::Addr dst;
     Bytes buf;
     std::size_t len = 0;
     std::int64_t recv_ns = 0;  // request's receive stamp, for udp_e2e
   };
-  // Per-worker accumulator: one reply vector per shard plus the total
-  // across shards (the flush threshold is global so a worker never sits
-  // on more than a batch's worth of replies).
-  struct ReplyAccumulator {
-    std::vector<std::vector<UdpReply>> per_shard;
-    std::size_t total = 0;
-  };
 
   // ---- reactor-shard handlers (run on that shard's thread) ------------
   void shard_loop(Shard& s);
-  void on_udp_readable(Shard& s);
   void on_accept_ready();  // shard 0 only (owns the listener)
   // Wraps a handed-off fd into a Conn owned by shard `s`.
   void adopt_conn(Shard& s, int fd);
@@ -446,56 +434,47 @@ class EventServerRuntime {
 
   // ---- uring backend (owning shard's reactor thread only) -------------
   // Builds ShardUring: registers the provided-buffer ring, fills it
-  // with pinned arena slices, arms the UDP multishot recvmsg, installs
-  // the CQE handler + drain hook.  No-op unless the shard's reactor
-  // runs the uring backend.
+  // with pinned arena slices, installs the CQE handler + drain hook.
+  // No-op unless the shard's reactor runs the uring backend and TCP is
+  // enabled.
   void setup_shard_uring(Shard& s);
   void on_uring_cqe(Shard& s, std::uint64_t ud, std::int32_t res,
                     std::uint32_t flags);
-  // The per-poll batch point: pushes accumulated datagram jobs under
-  // one queue lock, re-arms terminated multishot ops, commits buffer
-  // ring refills.
-  void uring_drain_end(Shard& s);
-  void on_udp_recv_cqe(Shard& s, std::int32_t res, std::uint32_t flags);
   void on_tcp_recv_cqe(Shard& s, std::uint64_t conn_id, std::int32_t res,
                        std::uint32_t flags);
-  void on_udp_send_cqe(Shard& s, std::uint64_t slot, std::int32_t res);
   // Reconciles a connection's desired read interest with the armed
   // multishot recv (arm / cancel / re-arm after cancel completes).
   void uring_sync_conn_recv(Shard& s, Conn& c);
-  // Reactor-thread continuation of flush_udp_replies for uring shards:
-  // one linked SQE chain per bucket instead of one sendmmsg.
-  void uring_send_bucket(Shard& s, std::vector<UdpReply> bucket);
   // End-of-shard-loop drain: cancel armed receives, wait for every
   // in-flight SQE's CQE (bounded), then unpin + recycle the ring's
   // arena slices.  A kernel-referenced buffer is never recycled.
   void uring_teardown(Shard& s);
 
   // ---- worker side ----------------------------------------------------
-  // The queue a job originating on shard `origin` is pushed to (shard 0
-  // under cfg.shared_queue).
-  Shard& job_queue_shard(std::size_t origin) {
-    return *shards_[cfg_.shared_queue ? 0 : origin];
-  }
+  // Rings one PARKED worker of a sibling shard so a backlog (or a queue
+  // on a worker-less shard) gets stolen promptly instead of waiting for
+  // the idle tick.
+  void wake_stealer(std::size_t except);
   // Moves from `job` only on success so a failed push can be retried.
-  bool push_job(std::size_t origin, Job& job);
-  // Queues the first n entries of `batch` as individual jobs under one
-  // lock acquisition; returns how many fit (the rest are drops).
-  // `recv_ns` stamps every job of the batch (one clock read per
-  // recvmmsg, shared across its datagrams).
-  int push_datagram_jobs(Shard& s, std::vector<net::Datagram>& batch, int n,
-                         std::int64_t recv_ns);
-  bool try_pop(std::size_t shard_idx, Job& out);
-  // no_thread_safety_analysis: parks on q_cv through a unique_lock that
-  // is unlocked mid-scope, which the scope-based checker cannot follow.
-  void worker_loop(std::size_t home) TEMPO_NO_THREAD_SAFETY_ANALYSIS;
-  // Serves one datagram with the zero-copy span path; the reply lands
-  // in `acc` (flushed by flush_udp_replies), not on the wire yet.
-  void serve_udp_datagram(UdpDatagramJob& job, ReplyAccumulator& acc,
-                          std::uint16_t worker_id);
-  // One send_many per non-empty shard bucket; refused tails are retried
-  // once on that shard's reactor before counting as reply_send_failures.
-  void flush_udp_replies(ReplyAccumulator& acc);
+  bool push_job(std::size_t origin, TcpRequestJob& job);
+  bool try_pop(std::size_t shard_idx, TcpRequestJob& out);
+  // Home queue first, then (when stealing is possible) the siblings.
+  // `tick_wakeup` attributes a steal to the idle tick.
+  bool pop_job(std::size_t home, TcpRequestJob& out, bool tick_wakeup);
+  // Parks `w` on its home queue unless a job is already waiting (false)
+  // or stop() has begun (false, and *stopping set).
+  bool park(Shard& h, Worker& w, bool* stopping);
+  void unpark(Shard& h, Worker& w);
+  void worker_loop(std::size_t home, Worker& w);
+  // One recvmmsg of up to `max` datagrams on us.udp into `batch`, every
+  // datagram served in place, the replies sent with one sendmmsg.
+  // Returns the datagrams received.
+  int serve_udp_batch(Shard& us, std::vector<net::Datagram>& batch, int max,
+                      std::vector<UdpReply>& replies,
+                      std::uint16_t worker_id);
+  // One send_many; a refused tail is retried once after the socket
+  // drains (what it still refuses counts as reply_send_failures).
+  void flush_udp_replies(Shard& us, std::vector<UdpReply>& replies);
   // `scratch` is the worker's persistent stream-reply encode buffer
   // (grown through `scratch_arena`, the worker's home arena): the
   // encode needs kMaxStreamReplyBytes of headroom, but only the framed
@@ -504,12 +483,20 @@ class EventServerRuntime {
   void serve_tcp_request(TcpRequestJob& job, Bytes& scratch,
                          common::BufferArena& scratch_arena,
                          std::uint16_t worker_id);
-  std::vector<net::Datagram> take_batch_buffer(Shard& s);
-  void recycle_batch_buffer(Shard& s, std::vector<net::Datagram> buf);
+  // Adds each UDP socket's kernel drop count since the last fold to
+  // stats_.overload_drops.
+  void fold_kernel_drops() const;
 
   SvcRegistry& registry_;
   EventServerRuntimeConfig cfg_;
-  EventServerRuntimeStats stats_;
+  // Mutable so the const stats() can fold kernel drops in.
+  mutable EventServerRuntimeStats stats_;
+  // Every UDP socket, with the kernel drop count already folded into
+  // stats_.overload_drops.  stop() does the last fold and empties it
+  // before the sockets close.
+  mutable std::mutex drops_mu_;
+  mutable std::vector<std::pair<const net::UdpSocket*, std::uint32_t>>
+      drop_books_ TEMPO_GUARDED_BY(drops_mu_);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<net::TcpListener> tcp_;
@@ -522,6 +509,10 @@ class EventServerRuntime {
   std::atomic<bool> running_{false};
   std::atomic<bool> reactor_stop_{false};
   std::atomic<bool> workers_stop_{false};
+  // Written by stop() before workers_stop_ is released: how long the
+  // exiting workers keep serving datagrams already in their sockets.
+  std::chrono::steady_clock::time_point drain_deadline_;
+  // TCP jobs pushed and not yet answered (on_reply decrements).
   std::atomic<std::int64_t> pending_jobs_{0};
   // Round-robin cursor for wake_stealer (any pushing thread).
   std::atomic<std::size_t> steal_wake_rr_{0};

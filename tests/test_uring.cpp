@@ -7,9 +7,10 @@
 //     through arbitrary TCP connection churn and hard resets (a slice
 //     is never recycled while the kernel still references it, and never
 //     leaks when a conn dies mid-receive);
-//   * stop() drain — tearing the runtime down with multishot receives
-//     armed and reply sends in flight must complete promptly, unpin
-//     every ring slice, and lose no reply to the shutdown itself.
+//   * stop() drain — tearing the runtime down with TCP multishot
+//     receives armed and UDP traffic being served must complete
+//     promptly, unpin every ring slice, and lose no reply to the
+//     shutdown itself.
 //
 // Every test self-skips on kernels without io_uring support, so the
 // suite is safe in any CI lane.
@@ -21,6 +22,7 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -162,8 +164,19 @@ TEST(UringRuntime, StopDrainsInFlightOpsAndUnpinsEverything) {
   ASSERT_TRUE(runtime.start().is_ok());
   ASSERT_STREQ(runtime.backend(), "uring");
 
+  // Connections that each sent part of a record: their multishot
+  // receives are still armed when stop() lands.
+  std::vector<std::unique_ptr<net::TcpConn>> conns;
+  for (int i = 0; i < 4; ++i) {
+    auto conn = net::TcpConn::connect(runtime.tcp_addr());
+    ASSERT_NE(conn, nullptr);
+    unsigned char half[8] = {};
+    store_be32(half, 0x80000000u | 64u);  // promises 64 bytes, sends 4
+    (void)conn->write_all(ByteSpan(half, sizeof(half)));
+    conns.push_back(std::move(conn));
+  }
   // Blast pipelined datagrams from several sockets and stop() while
-  // receives, worker dispatch and linked reply sends are all in flight.
+  // the workers are receiving and serving them.
   std::vector<net::UdpSocket> socks(4);
   Bytes call(256);
   std::uint32_t xid = 1;
