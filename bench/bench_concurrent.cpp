@@ -86,6 +86,9 @@ struct Point {
   // io_uring_enter syscalls across the measurement (0 on other
   // backends) — the bench's "syscalls per burst" evidence.
   std::int64_t uring_enters = 0;
+  // TCP points only: write syscalls on the server's connections per
+  // call — syscall accounting that holds on every backend.
+  double tcp_flushes_per_call = 0.0;
   double calls_per_sec = 0.0;
   // Server-side end-to-end latency (recv to reply-send), read from the
   // runtime's per-shard histograms before stop().  count == 0 when
@@ -423,9 +426,11 @@ Point run_point(const char* runtime_name, core::SpecCache& cache,
   // backend() honestly reports "none" afterwards.
   std::string backend = "threads";
   std::int64_t uring_enters = 0;
+  std::int64_t tcp_flushes = 0;
   if constexpr (std::is_same_v<RuntimeT, rpc::EventServerRuntime>) {
     backend = runtime.backend();
     uring_enters = runtime.uring_enter_calls();
+    tcp_flushes = runtime.stats().tcp_flushes.load();
   }
   // Server-side end-to-end distribution, merged across shards and both
   // transports.  Empty (count 0) when TEMPO_METRICS=0.
@@ -449,6 +454,10 @@ Point run_point(const char* runtime_name, core::SpecCache& cache,
     p.workers_per_shard = opt.workers_per_shard;
     p.backend = backend;
     p.uring_enters = uring_enters;
+    if (total_calls.load() > 0) {
+      p.tcp_flushes_per_call = static_cast<double>(tcp_flushes) /
+                               static_cast<double>(total_calls.load());
+    }
   } else {
     p.reactors = 1;
     p.backend = "threads";
@@ -654,6 +663,9 @@ void run(const Options& opt) {
       jw.field("tcp_depth", p.tcp_depth);
       jw.field("backend", p.backend);
       jw.field("uring_enters", p.uring_enters);
+      if (p.tcp_depth > 0) {
+        jw.field("tcp_flushes_per_call", p.tcp_flushes_per_call);
+      }
       jw.field("calls_per_sec", p.calls_per_sec);
       jw.field("lat_count", p.lat_count);
       jw.field("p50_us", p.p50_us);

@@ -111,7 +111,7 @@ TcpListener::TcpListener(std::uint16_t port) {
   ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in sa = loopback_sockaddr(port, 0x7F000001u);
   if (::bind(fd_, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 ||
-      ::listen(fd_, 16) != 0) {
+      ::listen(fd_, SOMAXCONN) != 0) {
     ::close(fd_);
     fd_ = -1;
     return;

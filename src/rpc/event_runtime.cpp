@@ -292,6 +292,7 @@ Status EventServerRuntime::start() {
         snap.add_counter("rpc.overload_drops", c(stats_.overload_drops));
         snap.add_counter("rpc.conn_resets", c(stats_.conn_resets));
         snap.add_counter("rpc.write_stalls", c(stats_.write_stalls));
+        snap.add_counter("rpc.tcp_flushes", c(stats_.tcp_flushes));
         snap.add_counter("rpc.dispatch_stalls", c(stats_.dispatch_stalls));
         snap.add_counter("rpc.work_steals", c(stats_.work_steals));
         snap.add_counter("rpc.tick_steals", c(stats_.tick_steals));
@@ -722,6 +723,7 @@ void EventServerRuntime::retry_stalled(Shard& s) {
 
 void EventServerRuntime::flush_conn(Shard& s, Conn& c) {
   while (c.out_off < c.out_len) {
+    ++stats_.tcp_flushes;
     auto r = c.sock->write_some(
         ByteSpan(c.out_buf.data() + c.out_off, c.out_len - c.out_off),
         /*timeout_ms=*/0);
@@ -821,13 +823,23 @@ void EventServerRuntime::set_conn_interest(Shard& s, Conn& c,
 }
 
 bool EventServerRuntime::append_out(Shard& s, Conn& c, Chunk frame) {
-  const std::size_t pending = c.out_len - c.out_off;
-  if (pending + frame.len > cfg_.max_write_buffer) {
-    s.arena.recycle(std::move(frame.buf));
-    ++stats_.conn_resets;
-    destroy_conn(s, c.id);
-    return false;
+  if (c.out_len - c.out_off + frame.len > cfg_.max_write_buffer) {
+    // The cap bounds bytes the socket refused, not bytes one drain
+    // batched: write out what is buffered before judging the peer.
+    const std::uint64_t id = c.id;
+    flush_conn(s, c);
+    if (s.conns.find(id) == s.conns.end()) {  // the write failed
+      s.arena.recycle(std::move(frame.buf));
+      return false;
+    }
+    if (c.out_len - c.out_off + frame.len > cfg_.max_write_buffer) {
+      s.arena.recycle(std::move(frame.buf));
+      ++stats_.conn_resets;
+      destroy_conn(s, id);
+      return false;
+    }
   }
+  const std::size_t pending = c.out_len - c.out_off;
   if (pending == 0) {
     // Common case (peer keeping up): adopt the worker's frame outright
     // instead of copying it into the write buffer.
@@ -852,6 +864,34 @@ bool EventServerRuntime::append_out(Shard& s, Conn& c, Chunk frame) {
   return true;
 }
 
+void EventServerRuntime::drain_replies(Shard& s) {
+  {
+    std::lock_guard<std::mutex> lock(s.done_mu);
+    s.draining.swap(s.done);
+  }
+  const auto served = static_cast<std::int64_t>(s.draining.size());
+  for (ReplyCompletion& r : s.draining) {
+    on_reply(s, r.conn_id, r.seq, std::move(r.frame));
+  }
+  s.draining.clear();
+  // One write per connection for everything this drain emitted.  The
+  // next records dispatch before the write so a worker can start on
+  // them while the reactor is in the syscall.
+  for (const std::uint64_t id : s.flush_list) {
+    auto it = s.conns.find(id);
+    if (it == s.conns.end()) continue;
+    it->second.flush_queued = false;
+    dispatch_ready(s, it->second);
+    flush_conn(s, it->second);  // can destroy the connection
+    it = s.conns.find(id);
+    if (it != s.conns.end()) finish_conn_if_idle(s, it->second);
+  }
+  s.flush_list.clear();
+  // Only now, after the records these replies freed room for were
+  // dispatched (and counted), so stop() never sees a false zero.
+  pending_jobs_.fetch_sub(served, std::memory_order_acq_rel);
+}
+
 void EventServerRuntime::on_reply(Shard& s, std::uint64_t conn_id,
                                   std::uint64_t seq, Chunk frame) {
   auto it = s.conns.find(conn_id);
@@ -859,23 +899,21 @@ void EventServerRuntime::on_reply(Shard& s, std::uint64_t conn_id,
     // The connection died while this request was in a worker; the
     // reply has nowhere to go, but its buffer still goes home.
     s.arena.recycle(std::move(frame.buf));
-    pending_jobs_.fetch_sub(1, std::memory_order_acq_rel);
     return;
   }
-  it->second.ring[seq % pipeline_depth_].ready = true;
-  it->second.ring[seq % pipeline_depth_].frame = std::move(frame);
-  // Emit every consecutively-complete reply, in seq order, flushing
-  // after each one (so the write-stall accounting and the
-  // max_write_buffer cap see the same per-reply growth as serial
-  // execution did).  A gap — an earlier request still executing —
-  // stops the sweep; its completion will resume it.  append_out and
-  // flush_conn can both destroy the connection, so re-resolve every
-  // round.
+  Conn& c = it->second;
+  c.ring[seq % pipeline_depth_].ready = true;
+  c.ring[seq % pipeline_depth_].frame = std::move(frame);
+  if (!c.flush_queued) {
+    c.flush_queued = true;
+    s.flush_list.push_back(conn_id);
+  }
+  // Emit every consecutively-complete reply, in seq order, into
+  // out_buf; drain_replies writes it once the whole batch is in.  A gap
+  // — an earlier request still executing — stops the sweep; its
+  // completion will resume it.
   std::int64_t now = 0;  // lazily read once per emit sweep
   for (;;) {
-    auto cit = s.conns.find(conn_id);
-    if (cit == s.conns.end()) break;
-    Conn& c = cit->second;
     ReplySlot& head = c.ring[c.emit_seq % pipeline_depth_];
     if (!head.ready) break;
     Chunk f = std::move(head.frame);
@@ -891,20 +929,13 @@ void EventServerRuntime::on_reply(Shard& s, std::uint64_t conn_id,
         if (now == 0) now = common::monotonic_ns();
         s.tcp_e2e_hist.record(now - f.recv_ns);
       }
-      if (!append_out(s, c, std::move(f))) break;  // conn destroyed
-      flush_conn(s, c);
+      if (!append_out(s, c, std::move(f))) return;  // conn destroyed
     } else {
       // No reply for this request (undecodable header): the slot still
       // held its place so later replies could not jump the order.
       s.arena.recycle(std::move(f.buf));
     }
   }
-  auto again = s.conns.find(conn_id);
-  if (again != s.conns.end()) {
-    dispatch_ready(s, again->second);
-    finish_conn_if_idle(s, again->second);
-  }
-  pending_jobs_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 // ------------------------------------------------------ uring backend ---
@@ -1425,13 +1456,21 @@ void EventServerRuntime::serve_tcp_request(TcpRequestJob& job, Bytes& scratch,
   }
   // Hand the reply (or the bare slot completion) back to the
   // connection's owning shard, whose reactor thread owns all its state.
-  // pending_jobs_ is decremented by on_reply so stop()'s drain covers
+  // Only the completion that finds the list empty posts a drain: the
+  // ones that land before the reactor gets to it ride the same drain.
+  // pending_jobs_ is decremented by drain_replies so stop()'s drain covers
   // the write handoff too.
-  Shard* shard = &origin;
-  shard->reactor.post([this, shard, conn_id = job.conn_id, seq = job.seq,
-                       frame = std::move(frame)]() mutable {
-    on_reply(*shard, conn_id, seq, std::move(frame));
-  });
+  bool first = false;
+  {
+    std::lock_guard<std::mutex> lock(origin.done_mu);
+    first = origin.done.empty();
+    origin.done.push_back(
+        ReplyCompletion{job.conn_id, job.seq, std::move(frame)});
+  }
+  if (first) {
+    Shard* shard = &origin;
+    shard->reactor.post([this, shard] { drain_replies(*shard); });
+  }
   if (traced) {
     // Flush covers the frame copy + handoff to the owning reactor; the
     // ordered-ring emit itself belongs to the reactor thread.

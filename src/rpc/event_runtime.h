@@ -43,10 +43,13 @@
 //     time;
 //   * workers dispatch through SvcRegistry::handle_request — decoding
 //     each request IN PLACE from the receive buffer and encoding the
-//     reply into an arena buffer, no scratch memset/memcpy — and post
-//     framed TCP replies back to the connection's owning shard, which
-//     writes them without ever blocking (leftover bytes wait for
-//     writability).
+//     reply into an arena buffer, no scratch memset/memcpy — and append
+//     framed TCP replies to the owning shard's completion list (the
+//     worker that finds it empty posts one drain to the shard's
+//     reactor).  The drain emits every reply it can into the write
+//     buffers, then writes each connection it touched ONCE, without
+//     ever blocking (leftover bytes wait for writability): replies that
+//     complete together leave in one send.
 //
 // Because a TCP request reaches the worker as one contiguous record,
 // argument decode goes through XdrMem — XDR_INLINE succeeds and the
@@ -56,13 +59,13 @@
 // Ownership (see src/net/README.md for the full model): each shard's
 // reactor thread exclusively owns that shard's connection state;
 // workers only ever own a request's buffer plus the (shard, conn_id,
-// seq) triple naming its origin; handoff back is by that shard's
-// Reactor::post().  A worker owns its UDP receive batch and reply
-// accumulator outright.  Buffers recycle into the origin shard's arena
-// from whichever thread finishes with them (the arena is the one
-// cross-thread-safe piece, one mutex per size class).  Stats are
-// process-wide atomics every shard adds into, so stats() aggregates
-// across shards by construction.
+// seq) triple naming its origin; handoff back is through that shard's
+// completion list, drained on its reactor thread.  A worker owns its
+// UDP receive batch and reply accumulator outright.  Buffers recycle
+// into the origin shard's arena from whichever thread finishes with
+// them (the arena is the one cross-thread-safe piece, one mutex per
+// size class).  Stats are process-wide atomics every shard adds into,
+// so stats() aggregates across shards by construction.
 #pragma once
 
 #include <atomic>
@@ -124,6 +127,9 @@ struct EventServerRuntimeConfig {
   // sendmmsg's worth of replies).
   int udp_batch = 32;
   // Per-connection caps; a peer exceeding either is reset.
+  // max_write_buffer bounds the reply bytes the socket REFUSED: a frame
+  // that would cross it first flushes what is buffered, and only what
+  // is still unwritten after that counts against the cap.
   std::size_t max_record_bytes = 1u << 20;
   std::size_t max_write_buffer = 4u << 20;
   // Backpressure: once this many complete records queue on one
@@ -187,6 +193,10 @@ struct EventServerRuntimeStats {
   // while a reply sits in out_buf waiting for writability; a reset at
   // max_write_buffer is the cap this stall accounting leads up to.
   std::atomic<std::int64_t> write_stalls{0};
+  // Write syscalls on TCP connections.  A reactor drain writes each
+  // connection it touched once, so with pipelined clients this grows
+  // slower than tcp_calls.
+  std::atomic<std::int64_t> tcp_flushes{0};
   // Times a complete TCP record found its shard's job queue full: the
   // connection is parked on the reactor's stalled list and its records
   // are re-dispatched as the queue drains.
@@ -316,6 +326,7 @@ class EventServerRuntime {
     std::size_t inflight = 0;
     std::vector<ReplySlot> ring;
     bool stalled = false;       // a ready record hit a full worker queue
+    bool flush_queued = false;  // on the shard's flush_list this drain
     Bytes out_buf;              // framed replies not yet written
     std::size_t out_off = 0;    // [out_off, out_len) awaits the socket
     std::size_t out_len = 0;
@@ -333,6 +344,14 @@ class EventServerRuntime {
     std::uint64_t conn_id = 0;
     std::uint64_t seq = 0;  // this request's slot in the conn's ring
     Chunk record;
+  };
+
+  // A served TCP request on its way back to the owning shard: the reply
+  // frame (len 0 = no reply) for ring slot `seq` of `conn_id`.
+  struct ReplyCompletion {
+    std::uint64_t conn_id = 0;
+    std::uint64_t seq = 0;
+    Chunk frame;
   };
 
   // uring-backend state of one shard (defined in the .cpp; present only
@@ -368,6 +387,16 @@ class EventServerRuntime {
     // before the wait until the woken worker runs again).
     std::atomic<int> udp_waiters{0};
     std::unordered_map<std::uint64_t, Conn> conns;
+    // Workers append finished TCP requests here; the one that finds the
+    // list empty posts a drain_replies to `reactor`, so a burst of
+    // completions costs one post and one wakeup.
+    std::mutex done_mu;
+    std::vector<ReplyCompletion> done TEMPO_GUARDED_BY(done_mu);
+    // Reactor thread only: the batch being drained (swapped with `done`,
+    // so both vectors keep their capacity) and the connections it
+    // touched, each flushed once at the end of the drain.
+    std::vector<ReplyCompletion> draining;
+    std::vector<std::uint64_t> flush_list;
     std::uint64_t next_conn_id = 1;  // ids are per-shard; (shard, id) is
                                      // the global connection name
     bool intake_closed = false;
@@ -422,13 +451,20 @@ class EventServerRuntime {
   void finish_conn_if_idle(Shard& s, Conn& conn);
   void destroy_conn(Shard& s, std::uint64_t id);
   void set_conn_interest(Shard& s, Conn& conn, unsigned interest);
+  // Runs every completion on s.done through on_reply, then gives each
+  // touched connection one dispatch_ready + flush_conn +
+  // finish_conn_if_idle.
+  void drain_replies(Shard& s);
   // A worker finished seq for conn_id: fill its ring slot, emit every
-  // consecutively-complete reply into out_buf in order.
+  // consecutively-complete reply into out_buf in order, and queue the
+  // connection on s.flush_list (once per drain).  Writes nothing itself
+  // unless the write-buffer cap forces a flush.
   void on_reply(Shard& s, std::uint64_t conn_id, std::uint64_t seq,
                 Chunk frame);
   // Appends frame's valid bytes to c.out_buf (arena-backed, grown via
-  // the shard arena); false when the write-buffer cap was exceeded and
-  // the connection was destroyed.
+  // the shard arena).  A frame that would push the unwritten bytes past
+  // max_write_buffer flushes first; false when the connection was
+  // destroyed (still over the cap after that flush, or the flush failed).
   bool append_out(Shard& s, Conn& c, Chunk frame);
   void close_intake(Shard& s);     // stop reading new requests on `s`
 
@@ -512,7 +548,7 @@ class EventServerRuntime {
   // Written by stop() before workers_stop_ is released: how long the
   // exiting workers keep serving datagrams already in their sockets.
   std::chrono::steady_clock::time_point drain_deadline_;
-  // TCP jobs pushed and not yet answered (on_reply decrements).
+  // TCP jobs pushed and not yet answered (drain_replies decrements).
   std::atomic<std::int64_t> pending_jobs_{0};
   // Round-robin cursor for wake_stealer (any pushing thread).
   std::atomic<std::size_t> steal_wake_rr_{0};

@@ -6,11 +6,17 @@
 // ServerRuntime::stop() drain regression.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -176,6 +182,50 @@ INSTANTIATE_TEST_SUITE_P(Backends, ReactorBackends,
                              default: return "auto";
                            }
                          });
+
+// Regression: a burst of connects must fit in the listener's accept
+// queue before anyone accepts.  With a short backlog the kernel drops
+// the surplus SYNs, and each such connect stalls for TCP's 1-s SYN
+// retransmit timeout (a reactor shard lagging in accept() saw exactly
+// that).
+TEST(TcpListener, ConnectBurstCompletesBeforeAnyAccept) {
+  net::TcpListener listener(0);
+  ASSERT_TRUE(listener.ok());
+  const net::Addr addr = listener.local_addr();
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_addr.s_addr = htonl(addr.host);
+  sa.sin_port = htons(addr.port);
+
+  constexpr int kConns = 40;
+  std::vector<pollfd> pfds;
+  for (int i = 0; i < kConns; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    ASSERT_GE(fd, 0);
+    const int rc =
+        ::connect(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa));
+    ASSERT_TRUE(rc == 0 || errno == EINPROGRESS) << std::strerror(errno);
+    pfds.push_back(pollfd{fd, POLLOUT, 0});
+  }
+  // Nobody accepts.  Every handshake must still finish, well inside the
+  // 1-s stall a dropped SYN costs.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+  int connected = 0;
+  for (pollfd& p : pfds) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (::poll(&p, 1, std::max<int>(0, static_cast<int>(left.count()))) ==
+        1) {
+      int err = -1;
+      socklen_t len = sizeof(err);
+      ::getsockopt(p.fd, SOL_SOCKET, SO_ERROR, &err, &len);
+      if (err == 0) ++connected;
+    }
+  }
+  EXPECT_EQ(connected, kConns);
+  for (const pollfd& p : pfds) ::close(p.fd);
+}
 
 // ------------------------------------------- event runtime e2e (UDP) ---
 
@@ -1384,6 +1434,63 @@ TEST(EventServerRuntime, PipelinedTcpRepliesStayInWireOrder) {
     EXPECT_GT(runtime.arena_stats().hits, 0);
     runtime.stop();
   }
+}
+
+// Replies that complete together leave in one write.  Request 0 is held
+// until requests 1-7 have been served, so its completion releases a
+// full ring behind the gap: all 8 replies go out in wire order through
+// one flush, not one write per reply.
+TEST(EventServerRuntime, RepliesReleasedTogetherLeaveInOneWrite) {
+  constexpr int kCalls = 8;
+  std::atomic<int> served{0};
+  rpc::SvcRegistry reg;
+  reg.register_proc(kProg, kVers, kProc,
+                    [&served](xdr::XdrStream& in, xdr::XdrStream& out) {
+                      std::int32_t v = 0;
+                      if (!xdr::xdr_int(in, v)) return false;
+                      if (v == 0) {
+                        const auto give_up = std::chrono::steady_clock::now() +
+                                             std::chrono::seconds(5);
+                        while (served.load() < kCalls - 1 &&
+                               std::chrono::steady_clock::now() < give_up) {
+                          std::this_thread::sleep_for(
+                              std::chrono::milliseconds(1));
+                        }
+                        // Lets replies 1-7 reach the ring first.
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(30));
+                      }
+                      const bool ok = xdr::xdr_int(out, v);
+                      if (v != 0) served.fetch_add(1);
+                      return ok;
+                    });
+
+  rpc::EventServerRuntimeConfig cfg;
+  cfg.workers = kCalls;
+  cfg.tcp_pipeline_depth = kCalls;
+  cfg.enable_udp = false;
+  rpc::EventServerRuntime runtime(reg, cfg);
+  ASSERT_TRUE(runtime.start().is_ok());
+  auto conn = net::TcpConn::connect(runtime.tcp_addr());
+  ASSERT_NE(conn, nullptr);
+
+  Bytes wire;
+  for (int i = 0; i < kCalls; ++i) {
+    const Bytes call =
+        framed_int_call(0x7B000000u + static_cast<std::uint32_t>(i), i);
+    wire.insert(wire.end(), call.begin(), call.end());
+  }
+  const std::int64_t flushes_before = runtime.stats().tcp_flushes.load();
+  ASSERT_TRUE(conn->write_all(ByteSpan(wire.data(), wire.size())).is_ok());
+  for (int i = 0; i < kCalls; ++i) {
+    const Bytes reply = read_framed_reply(*conn, 10000);
+    ASSERT_GE(reply.size(), 4u) << "call " << i;
+    EXPECT_EQ(load_be32(reply.data()),
+              0x7B000000u + static_cast<std::uint32_t>(i));
+  }
+  EXPECT_EQ(served.load(), kCalls - 1);
+  EXPECT_LE(runtime.stats().tcp_flushes.load() - flushes_before, 2);
+  runtime.stop();
 }
 
 // ------------------------------------------ adversarial TCP peers ------
